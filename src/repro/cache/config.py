@@ -8,10 +8,10 @@ walks dataclasses) and golden-digest configs, exactly like
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
+from repro.switches import switch_enabled
 
 __all__ = ["CacheConfig", "CACHE_TIER_ENV", "cache_tier_enabled", "POLICIES"]
 
@@ -21,15 +21,13 @@ __all__ = ["CacheConfig", "CACHE_TIER_ENV", "cache_tier_enabled", "POLICIES"]
 #: tier-enabled result can never be served for a tier-disabled run.
 CACHE_TIER_ENV = "REPRO_CACHE"
 
-_DISABLED = {"0", "off", "no", "false"}
-
 #: Supported write policies.
 POLICIES = ("cache_aside", "write_through")
 
 
 def cache_tier_enabled() -> bool:
     """False when the ``REPRO_CACHE`` kill switch disables the tier."""
-    return os.environ.get(CACHE_TIER_ENV, "1").strip().lower() not in _DISABLED
+    return switch_enabled(CACHE_TIER_ENV)
 
 
 @dataclass(frozen=True)

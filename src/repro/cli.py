@@ -29,10 +29,6 @@ Commands
     Shortcut for ``run dag``: the service-dependency DAG study (p99
     amplification vs fan-out, wait_all/quorum/best_effort fan-in under
     a single-branch gray failure, latency-aware outlier ejection).
-``repro-bench shard [--scale 0.3]``
-    Shortcut for ``run shard``: the sharded parallel kernel study
-    (wall clock vs. shard count on the 1M-cohort n-tier shape and a
-    wide DAG, with bit-identical-to-serial checks).
 ``repro-bench perf [--scale 0.3] [--out BENCH_core.json] [--check BENCH_core.json]``
     Run the kernel perf-benchmark suite (events/sec, timeout churn, TCP
     throughput, micro wall time); optionally write the tracked JSON or
@@ -45,16 +41,11 @@ Commands
 ``--jobs N`` fans each artifact's sweep points out over ``N`` worker
 processes (``auto`` = one per core); results are bit-identical to a
 serial run.  The ``REPRO_JOBS`` environment variable sets the default.
-``--shards N`` runs each eligible simulation on the sharded parallel
-kernel (N kernel islands in worker processes; bit-identical to serial);
-the ``REPRO_SHARDS`` environment variable sets the default and
-``REPRO_SHARD=0`` kills the feature entirely.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -83,10 +74,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", default=None, metavar="N",
                         help="sweep worker processes (integer or 'auto'; "
                         "default: $REPRO_JOBS, else serial)")
-    parser.add_argument("--shards", default=None, metavar="N", type=int,
-                        help="kernel islands per eligible simulation "
-                        "(default: $REPRO_SHARDS, else serial; "
-                        "REPRO_SHARD=0 disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,11 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dag", help="run the service-dependency DAG fan-out/fan-in study"
     )
     _add_sweep_flags(dag)
-
-    shard = sub.add_parser(
-        "shard", help="run the sharded-kernel wall-clock study"
-    )
-    _add_sweep_flags(shard)
 
     perf = sub.add_parser("perf", help="run the kernel perf-benchmark suite")
     perf.add_argument("--scale", type=float, default=1.0,
@@ -202,20 +184,7 @@ def _check_scale(scale: float) -> float:
     return scale
 
 
-def _apply_shards(shards: Optional[int]) -> None:
-    """Propagate ``--shards`` to the runners via ``REPRO_SHARDS``.
-
-    The artifact runners construct their simulation configs internally,
-    so the CLI cannot pass ``shards=`` through; the environment variable
-    is the documented default channel and worker processes inherit it.
-    """
-    if shards is not None:
-        os.environ["REPRO_SHARDS"] = str(shards)
-
-
-def _cmd_run(artifact: str, scale: float, jobs: Optional[str],
-             shards: Optional[int] = None) -> int:
-    _apply_shards(shards)
+def _cmd_run(artifact: str, scale: float, jobs: Optional[str]) -> int:
     spec = get_experiment(artifact)
     consume_sweep_totals()  # drop accounting left over from earlier runs
     started = time.time()
@@ -225,9 +194,7 @@ def _cmd_run(artifact: str, scale: float, jobs: Optional[str],
     return 0 if result.all_passed else 1
 
 
-def _cmd_all(scale: float, jobs: Optional[str], markdown: Optional[str],
-             shards: Optional[int] = None) -> int:
-    _apply_shards(shards)
+def _cmd_all(scale: float, jobs: Optional[str], markdown: Optional[str]) -> int:
     _check_scale(scale)
     resolved_jobs = resolve_jobs(jobs)
     sections: List[str] = []
@@ -286,26 +253,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "sweep-cache":
             return _cmd_cache(args.clear)
         if args.command == "run":
-            return _cmd_run(args.artifact, args.scale, args.jobs, args.shards)
+            return _cmd_run(args.artifact, args.scale, args.jobs)
         if args.command == "chaos":
-            return _cmd_run("chaos", args.scale, args.jobs, args.shards)
+            return _cmd_run("chaos", args.scale, args.jobs)
         if args.command == "metastable":
-            return _cmd_run("metastable", args.scale, args.jobs, args.shards)
+            return _cmd_run("metastable", args.scale, args.jobs)
         if args.command == "cache":
-            return _cmd_run("cache", args.scale, args.jobs, args.shards)
+            return _cmd_run("cache", args.scale, args.jobs)
         if args.command == "failover":
-            return _cmd_run("failover", args.scale, args.jobs, args.shards)
+            return _cmd_run("failover", args.scale, args.jobs)
         if args.command == "million":
-            return _cmd_run("million", args.scale, args.jobs, args.shards)
+            return _cmd_run("million", args.scale, args.jobs)
         if args.command == "dag":
-            return _cmd_run("dag", args.scale, args.jobs, args.shards)
-        if args.command == "shard":
-            return _cmd_run("shard", args.scale, args.jobs, args.shards)
+            return _cmd_run("dag", args.scale, args.jobs)
         if args.command == "perf":
             return _cmd_perf(args.scale, args.repeats, args.out,
                              args.check, args.tolerance)
         if args.command == "all":
-            return _cmd_all(args.scale, args.jobs, args.markdown, args.shards)
+            return _cmd_all(args.scale, args.jobs, args.markdown)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

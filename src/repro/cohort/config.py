@@ -18,17 +18,15 @@ The three-way contract mirrors every prior fast path:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
+from repro.switches import switch_enabled
 
 __all__ = ["CohortConfig", "COHORT_ENV", "cohort_enabled", "MATERIALIZE_MODES"]
 
 #: Kill switch: ``REPRO_COHORT=0`` forces materialize-always everywhere.
 COHORT_ENV = "REPRO_COHORT"
-
-_DISABLED = {"0", "off", "no", "false"}
 
 #: Supported materialization modes.
 MATERIALIZE_MODES = ("lazy", "always")
@@ -36,7 +34,7 @@ MATERIALIZE_MODES = ("lazy", "always")
 
 def cohort_enabled() -> bool:
     """False when the ``REPRO_COHORT`` kill switch disables aggregation."""
-    return os.environ.get(COHORT_ENV, "1").strip().lower() not in _DISABLED
+    return switch_enabled(COHORT_ENV)
 
 
 @dataclass(frozen=True)
@@ -67,13 +65,6 @@ class CohortConfig:
     #: request (a mostly-idle connected population — the million-client
     #: scouting regime) instead of firing immediately on start (JMeter).
     first_think: bool = False
-    #: Open the full ``max_inflight`` connection bundle at build time (a
-    #: provisioned pool, like JMeter's pre-opened sockets) instead of
-    #: growing it on demand.  Required for sharded execution against
-    #: thread-per-connection servers, whose attach spawns a handler
-    #: thread: a provisioned bundle attaches before the clock starts, so
-    #: no connection ever crosses a shard cut mid-run.
-    eager_connections: bool = False
     #: Logical requests a materialized episode client serves before it
     #: folds back into the aggregate.
     episode_requests: int = 1

@@ -312,16 +312,11 @@ class Cohort:
         budget=None,
         deadline: Optional[float] = None,
         name: str = "cohort",
-        connect=None,
     ):
         if size < 1:
             raise WorkloadError(f"cohort size must be >= 1, got {size!r}")
         self.env = env
         self.server = server
-        #: Optional connection factory override (``connect(index)``): the
-        #: sharded kernel supplies one returning a cut-edge stub when the
-        #: server lives on another shard (``server`` may then be ``None``).
-        self._connect_override = connect
         self.size = size
         self.link = link
         self.calibration = calibration
@@ -371,15 +366,6 @@ class Cohort:
         self._ramp = ramp_up if ramp_up > 0 else 0.0
         self._slices = min(self.config.ramp_slices, size) if self._ramp > 0 else 1
         self._slice_i = 0
-        if self.config.eager_connections:
-            # Provisioned bundle (JMeter-style pre-opened sockets): attach
-            # the whole cap before the clock starts, so demand growth —
-            # and any mid-run server-side attach work — never happens.
-            for _ in range(min(self.config.max_inflight, size)):
-                conn = self._open_conn()
-                if conn is None:
-                    break
-                self._idle.append(conn)
         self._schedule_slice()
 
     # ------------------------------------------------------------------
@@ -486,14 +472,6 @@ class Cohort:
                 return conn
             # Closed while parked; its on_close already adjusted counts.
         if self._conns < self.config.max_inflight and not self._grow_blocked:
-            return self._open_conn()
-        return None
-
-    def _open_conn(self) -> Optional[Connection]:
-        """Open and attach one new bundle connection (None when refused)."""
-        if self._connect_override is not None:
-            conn = self._connect_override(self._conns)
-        else:
             faults = None
             if self.faults is not None:
                 faults = self.faults.for_connection(self._conns)
@@ -506,16 +484,17 @@ class Cohort:
                 faults=faults,
             )
             self.server.attach(conn)
-        if conn.closed:
-            self.stats.refused += 1
-            self._grow_blocked = True
-            return None
-        self._conns += 1
-        self.stats.connections_opened += 1
-        conn.on_close.callbacks.append(
-            lambda _event, c=conn: self._conn_closed(c)
-        )
-        return conn
+            if conn.closed:
+                self.stats.refused += 1
+                self._grow_blocked = True
+                return None
+            self._conns += 1
+            self.stats.connections_opened += 1
+            conn.on_close.callbacks.append(
+                lambda _event, c=conn: self._conn_closed(c)
+            )
+            return conn
+        return None
 
     def _send_on(self, conn: Connection) -> None:
         request = self._mix.sample(self.env, self._mix_rng)
@@ -638,16 +617,6 @@ class Cohort:
         raise WorkloadError(f"cohort {self.name!r}: every member is materialized")
 
     def _episode_connect(self, index: int) -> Connection:
-        if self._connect_override is not None:
-            # The shard partition validator excludes every configuration
-            # that can materialize an episode (faults, retry, timeouts);
-            # reaching here under an override is a partitioning bug.
-            from repro.errors import SimulationError
-
-            raise SimulationError(
-                "cohort episode materialization is not supported on a "
-                "sharded cut edge"
-            )
         faults = None
         if self.faults is not None:
             faults = self.faults.for_connection(index)

@@ -19,11 +19,11 @@ and nonsensical fan-in settings before a run starts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import ExperimentError
+from repro.switches import switch_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.replica.config import ReplicaConfig
@@ -41,8 +41,6 @@ __all__ = [
 #: the classic linear topology regardless of configuration.
 DAG_ENV = "REPRO_DAG"
 
-_DISABLED = {"0", "off", "no", "false"}
-
 #: Fan-in policies joining a node's async branches (see
 #: :mod:`repro.dag.runtime` for their exact semantics).
 FAN_IN_POLICIES = ("wait_all", "quorum", "best_effort")
@@ -50,7 +48,7 @@ FAN_IN_POLICIES = ("wait_all", "quorum", "best_effort")
 
 def dag_enabled() -> bool:
     """True unless ``REPRO_DAG`` disables the DAG topology."""
-    return os.environ.get(DAG_ENV, "1").strip().lower() not in _DISABLED
+    return switch_enabled(DAG_ENV)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import platform
 import random
 import sys
@@ -55,7 +54,6 @@ __all__ = [
     "bench_micro_wall",
     "bench_million",
     "bench_dag",
-    "bench_shard",
     "run_perf_suite",
     "render_perf_suite",
     "compare_to_baseline",
@@ -70,8 +68,8 @@ BENCH_FILENAME = "BENCH_core.json"
 #: a benchmark is added, removed or re-shaped so that
 #: :func:`compare_to_baseline` refuses to gate against a baseline from a
 #: different suite generation instead of silently comparing mismatched
-#: numbers.  v6 added the sharded-kernel A/B (``bench_shard``).
-SUITE_VERSION = 6
+#: numbers.  v7 dropped the ``shard_*`` rows.
+SUITE_VERSION = 7
 
 #: Metrics where *higher* is better (rates); everything else in
 #: ``results`` is a wall time where lower is better.
@@ -87,7 +85,6 @@ RATE_METRICS = (
     "cache_ops_per_sec",
     "million_clients_per_sec",
     "dag_requests_per_sec",
-    "shard_events_per_sec",
 )
 
 
@@ -601,106 +598,6 @@ def bench_dag(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
 
 
 
-
-# ----------------------------------------------------------------------
-# 9. Sharded kernel A/B
-# ----------------------------------------------------------------------
-def bench_shard(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
-    """Interleaved serial-vs-sharded A/B on the 1M-cohort n-tier shape.
-
-    The workload is the million-client scouting regime pushed through
-    the full 3-tier chain: a ``1_000_000 * scale`` eager-bundle cohort
-    (mean think 400 s against a 6 s run) over WAN-ish client latency
-    (20 ms) and 10 ms inter-tier links — the nonzero cut latencies are
-    what give the conservative synchronizer its lookahead window.  Each
-    round interleaves a serial run, a 2-island run ([clients | backend])
-    and a 4-island run ([clients | apache | tomcat | mysql]) so host
-    drift hits all three equally; every run is digest-identical by the
-    shard contract, so the *only* thing varying is wall clock.
-
-    ``events_per_sec`` (the gated rate) is the merged kernel event count
-    over the best sharded wall.  ``speedup`` is serial wall over best
-    sharded wall — **read it against ``cores``**: on a single-core host
-    the workers time-slice one CPU and the honest ceiling is ~1x minus
-    barrier overhead; island wall-clock parallelism needs one core per
-    island.  The per-island split (events, barrier count, stall time)
-    comes back through ``NTierResult.shard_events`` either way, so the
-    balance story is visible even where the speedup cannot be.
-    """
-    from repro.cohort import CohortConfig, cohort_enabled
-    from repro.ntier.topology import NTierConfig, run_ntier
-    from repro.shard import shard_enabled
-
-    if not cohort_enabled():
-        raise ExperimentError(
-            "bench_shard needs the cohort engine; unset REPRO_COHORT "
-            "(or set it to 1) — under REPRO_COHORT=0 the million-member "
-            "population would fall back to per-client simulation"
-        )
-    if not shard_enabled():
-        raise ExperimentError(
-            "bench_shard needs the sharded kernel; unset REPRO_SHARD "
-            "(or set it to 1) — under REPRO_SHARD=0 every run would "
-            "measure the serial kernel three times"
-        )
-    clients = max(20_000, int(round(1_000_000 * scale)))
-    config = NTierConfig(
-        "async",
-        users=clients,
-        think_mean=400.0,
-        duration=6.0,
-        warmup=2.0,
-        client_latency=0.02,
-        inter_tier_latency=0.01,
-        cohort=CohortConfig(
-            max_inflight=1024, first_think=True, eager_connections=True
-        ),
-    )
-
-    def _timed(shards: int):
-        started = time.perf_counter()
-        result = run_ntier(config, shards=shards)
-        return time.perf_counter() - started, result
-
-    rounds = max(1, repeats)
-    serial_wall = two_wall = four_wall = float("inf")
-    best_wall = float("inf")
-    best = None
-    for _ in range(rounds):
-        wall, _serial = _timed(1)
-        serial_wall = min(serial_wall, wall)
-        wall, result = _timed(2)
-        two_wall = min(two_wall, wall)
-        if wall < best_wall:
-            best_wall, best = wall, result
-        wall, result = _timed(4)
-        four_wall = min(four_wall, wall)
-        if wall < best_wall:
-            best_wall, best = wall, result
-    assert best is not None
-    islands = best.shard_events
-    if not islands:
-        raise ExperimentError(
-            "bench_shard's sharded runs fell back to the serial kernel; "
-            "the partitioner rejected the benchmark config"
-        )
-    return {
-        "wall_s": best_wall,
-        "serial_wall_s": serial_wall,
-        "two_shard_wall_s": two_wall,
-        "four_shard_wall_s": four_wall,
-        "events_per_sec": (
-            best.kernel_events / best_wall if best_wall > 0 else 0.0
-        ),
-        "speedup": serial_wall / best_wall if best_wall > 0 else 0.0,
-        "islands": float(len(islands)),
-        "barriers": float(max(s.barriers for s in islands)),
-        "barrier_stall_s": sum(s.stall_s for s in islands),
-        "completed": float(best.report.completed),
-        "cores": float(os.cpu_count() or 1),
-    }
-
-
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
@@ -716,7 +613,6 @@ def run_perf_suite(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
     micro = bench_micro_wall(scale, max(1, repeats - 1))
     million = bench_million(scale, max(1, repeats - 1))
     dag = bench_dag(scale, max(1, repeats - 1))
-    shard = bench_shard(scale, max(1, repeats - 1))
     return {
         "suite": "repro-kernel-perf",
         "suite_version": SUITE_VERSION,
@@ -757,14 +653,6 @@ def run_perf_suite(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
             "dag_requests_per_sec": round(dag["requests_per_sec"], 1),
             "dag_events_per_sec": round(dag["events_per_sec"], 1),
             "dag_completed": dag["completed"],
-            "shard_events_per_sec": round(shard["events_per_sec"], 1),
-            "shard_wall_s": round(shard["wall_s"], 4),
-            "shard_serial_wall_s": round(shard["serial_wall_s"], 4),
-            "shard_speedup": round(shard["speedup"], 3),
-            "shard_islands": shard["islands"],
-            "shard_barrier_stall_s": round(shard["barrier_stall_s"], 3),
-            "shard_completed": shard["completed"],
-            "shard_cores": shard["cores"],
         },
     }
 

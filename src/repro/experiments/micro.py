@@ -29,7 +29,6 @@ from repro.servers.singlet import SingleThreadedServer
 from repro.servers.staged import StagedServer
 from repro.servers.threaded import ThreadedServer
 from repro.servers.tomcat import TomcatAsyncServer, TomcatSyncServer
-from repro.shard import resolve_shards
 from repro.sim.core import Environment
 from repro.sim.rng import SeedStreams
 from repro.workload.client import ExponentialThink, RetryPolicy
@@ -192,12 +191,6 @@ class MicroResult:
     #: excludes model construction and report aggregation).  Wall clock is
     #: not deterministic, so it is excluded from equality.
     sim_wall_s: float = field(default=0.0, compare=False)
-    #: Per-shard kernel accounting (tuple of
-    #: :class:`repro.shard.ShardStats`); empty for serial runs.  Event
-    #: counts differ from the serial kernel's (cut-edge bookkeeping), and
-    #: stall times are wall clock, so the whole breakdown is excluded
-    #: from equality.
-    shard_events: "tuple" = field(default=(), compare=False)
 
     @property
     def events_per_sec(self) -> float:
@@ -249,33 +242,18 @@ def make_server(name: str, env: Environment, cpu: CPU, config: "MicroConfig") ->
     return factory(env, cpu, config)
 
 
-def run_micro(
-    config: MicroConfig, streaming: bool = False, shards: Optional[int] = None
-) -> MicroResult:
+def run_micro(config: MicroConfig, streaming: bool = False) -> MicroResult:
     """Run one micro-benchmark and return its measurements.
 
     ``streaming=True`` records measurements with fixed-memory P² samplers
     (moments exact, percentiles estimated); the default keeps raw samples
     for exact percentiles.  The simulation itself is bit-identical either
     way — only the measurement sampler changes.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` environment variable)
-    partitions the run into client/server kernel islands executed in
-    separate processes with conservative synchronization — same digests,
-    more cores.  Configurations the partitioner cannot prove safe fall
-    back to the serial kernel.
     """
     if config.concurrency < 1:
         raise ExperimentError(f"concurrency must be >= 1, got {config.concurrency!r}")
     if config.duration <= config.warmup:
         raise ExperimentError("duration must exceed warmup")
-    requested = resolve_shards(shards)
-    if requested > 1:
-        from repro.shard.runtime import run_micro_sharded
-
-        sharded = run_micro_sharded(config, requested, streaming)
-        if sharded is not None:
-            return sharded
     calib = config.calibration
     env = Environment()
     cpu = CPU(env, calib, name=f"{config.server}-cpu")

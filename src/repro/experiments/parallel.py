@@ -50,6 +50,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.sim.rng import derive_seed
+from repro.switches import switch_enabled
 
 __all__ = [
     "CACHE_VERSION",
@@ -72,12 +73,10 @@ CACHE_VERSION = 1
 
 #: Environment variable selecting the worker count ("auto" or an integer).
 JOBS_ENV = "REPRO_JOBS"
-#: Set to ``0``/``off``/``false`` to bypass the on-disk cache entirely.
+#: Set to ``0``/``off``/``no``/``false`` to bypass the on-disk cache entirely.
 CACHE_ENV = "REPRO_CACHE"
 #: Overrides the cache directory (default: ``./.repro-cache``).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-_DISABLED = {"0", "off", "no", "false"}
 
 
 def resolve_jobs(jobs: "Optional[int | str]" = None) -> int:
@@ -105,7 +104,7 @@ def resolve_jobs(jobs: "Optional[int | str]" = None) -> int:
 
 def cache_root() -> Optional[Path]:
     """The cache directory, or ``None`` when caching is disabled."""
-    if os.environ.get(CACHE_ENV, "1").strip().lower() in _DISABLED:
+    if not switch_enabled(CACHE_ENV):
         return None
     return Path(os.environ.get(CACHE_DIR_ENV) or ".repro-cache")
 
@@ -118,6 +117,42 @@ def clear_cache(root: Optional[Path] = None) -> int:
     removed = sum(1 for _ in root.rglob("*.pkl"))
     shutil.rmtree(root)
     return removed
+
+
+#: Returned by :func:`_cache_read` when there is no usable entry.
+_MISS = object()
+
+
+def _cache_read(path: Optional[Path]) -> object:
+    """Unpickle one cache entry; ``_MISS`` when absent, disabled or corrupt."""
+    if path is None:
+        return _MISS
+    try:
+        with path.open("rb") as handle:
+            return pickle.load(handle)
+    except FileNotFoundError:
+        return _MISS
+    except Exception:
+        # Corrupt or unreadable entry: drop it and recompute.
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return _MISS
+
+
+def _cache_write(path: Optional[Path], value: object) -> None:
+    """Store one cache entry atomically (temp file, then rename)."""
+    if path is None:
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        with tmp.open("wb") as handle:
+            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except (OSError, pickle.PicklingError):
+        pass  # a cold cache is always safe
 
 
 _code_digest_cache: Optional[str] = None
@@ -207,10 +242,6 @@ class SweepStats:
     #: time and can exceed elapsed time; events / this wall is the
     #: per-worker simulation rate.
     kernel_wall_s: float = 0.0
-    #: Points that ran on the sharded kernel (``repro.shard``).
-    shard_points: int = 0
-    #: Aggregate barrier-stall seconds across those points' islands.
-    shard_stall_s: float = 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -248,8 +279,6 @@ class SweepTotals:
     cache_hits: int = 0
     kernel_events: int = 0
     kernel_wall_s: float = 0.0
-    shard_points: int = 0
-    shard_stall_s: float = 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -322,41 +351,31 @@ class SweepExecutor:
         results: Dict[object, object] = {}
         pending: Dict[object, object] = {}
         for key, config in ordered:
-            cached = self._cache_load(runner, config)
-            if cached is not None:
+            cached = _cache_read(self._cache_path(runner, config))
+            if cached is not _MISS:
                 results[key] = cached
                 self.stats.cache_hits += 1
             else:
                 pending[key] = config
         events = 0
         wall = 0.0
-        shard_points = 0
-        shard_stall = 0.0
         if pending:
             computed = self._compute(runner, pending)
             self.stats.computed += len(computed)
             for key, result in computed.items():
-                self._cache_store(runner, pending[key], result)
+                _cache_write(self._cache_path(runner, pending[key]), result)
                 results[key] = result
                 # Results carry their own kernel accounting (captured in
                 # the worker that simulated them); fold it up here so the
                 # CLI can print a per-artifact events/sec line.
                 events += getattr(result, "kernel_events", 0)
                 wall += getattr(result, "sim_wall_s", 0.0)
-                shards = getattr(result, "shard_events", ())
-                if shards:
-                    shard_points += 1
-                    shard_stall += sum(s.stall_s for s in shards)
         self.stats.kernel_events += events
         self.stats.kernel_wall_s += wall
-        self.stats.shard_points += shard_points
-        self.stats.shard_stall_s += shard_stall
         _sweep_totals.points += len(ordered)
         _sweep_totals.cache_hits += len(ordered) - len(pending)
         _sweep_totals.kernel_events += events
         _sweep_totals.kernel_wall_s += wall
-        _sweep_totals.shard_points += shard_points
-        _sweep_totals.shard_stall_s += shard_stall
         return {key: results[key] for key, _ in ordered}
 
     def _prepare(self, runner: str, key: object, config: object) -> object:
@@ -418,36 +437,6 @@ class SweepExecutor:
         ).hexdigest()
         return self.cache_dir / self.artifact / f"{runner}-{key}.pkl"
 
-    def _cache_load(self, runner: str, config: object) -> Optional[object]:
-        path = self._cache_path(runner, config)
-        if path is None:
-            return None
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Corrupt or unreadable entry: drop it and recompute.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _cache_store(self, runner: str, config: object, result: object) -> None:
-        path = self._cache_path(runner, config)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with tmp.open("wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError):
-            pass  # a cold cache is always safe
-
 
 def cached_micro(config: object, label: str = "adhoc") -> object:
     """``run_micro`` through the on-disk cache, bypassing seed derivation.
@@ -491,23 +480,8 @@ def cached_call(fn: Callable[..., object], *args: object, label: str = "call") -
         digest_size=16,
     ).hexdigest()
     path = root / label / f"{key}.pkl"
-    try:
-        with path.open("rb") as handle:
-            return pickle.load(handle)
-    except FileNotFoundError:
-        pass
-    except Exception:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-    result = fn(*args)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except (OSError, pickle.PicklingError):
-        pass  # a cold cache is always safe
+    result = _cache_read(path)
+    if result is _MISS:
+        result = fn(*args)
+        _cache_write(path, result)
     return result

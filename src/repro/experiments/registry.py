@@ -41,7 +41,6 @@ from repro.experiments.artifacts_extensions import (
     ablation_ncopy_scaling,
 )
 from repro.experiments.artifacts_ntier import fig1_rubbos_upgrade
-from repro.experiments.artifacts_shard import shard_speedup
 from repro.experiments.results import ArtifactResult
 
 __all__ = [
@@ -92,7 +91,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         ExperimentSpec("failover", "Replica failover: crash-restart vs ejection and hedging", replica_failover, "minutes"),
         ExperimentSpec("million", "Million-client scale: cohort aggregation vs per-client", million_clients, "minutes"),
         ExperimentSpec("dag", "Service-dependency DAG: fan-out tails and graceful degradation", dag_workloads, "minutes"),
-        ExperimentSpec("shard", "Sharded parallel kernel: wall clock vs. shard count", shard_speedup, "minutes"),
     ]
 }
 

@@ -83,15 +83,8 @@ def render_sweep_summary(elapsed_s: float, totals: object, scale: float = 1.0) -
     cache_hits = getattr(totals, "cache_hits", 0)
     events = getattr(totals, "kernel_events", 0)
     rate = getattr(totals, "events_per_sec", 0.0)
-    shard_points = getattr(totals, "shard_points", 0)
-    shard_stall = getattr(totals, "shard_stall_s", 0.0)
     if events and rate:
         text += f"; {events:,} kernel events at {rate:,.0f} events/s"
-    if shard_points:
-        text += (
-            f"; {shard_points} point(s) sharded"
-            f" ({shard_stall:.1f}s barrier stall)"
-        )
     if points and cache_hits:
         text += f"; {cache_hits}/{points} point(s) cached"
     return text + ")"

@@ -58,7 +58,6 @@ one-run bisection.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heappush
 from typing import Callable, Deque, List, Optional
@@ -76,6 +75,7 @@ from repro.sim.core import (
     Event,
     ReusableEvent,
 )
+from repro.switches import switch_enabled
 
 __all__ = ["Connection", "ResponseTransfer", "TCPStats", "fastpath_enabled"]
 
@@ -90,12 +90,12 @@ _INF = float("inf")
 def fastpath_enabled() -> bool:
     """Global kill-switch for the flow-level fast path.
 
-    ``REPRO_TCP_FASTPATH=0`` forces every new connection onto the
-    per-segment path; results are bit-identical either way, so flipping
+    ``REPRO_TCP_FASTPATH=0`` (or ``off``/``no``/``false``) forces every
+    new connection onto the per-segment path; results are bit-identical either way, so flipping
     the switch bisects any future digest mismatch to this layer in one
     run.  Read per connection so tests can monkeypatch the environment.
     """
-    return os.environ.get("REPRO_TCP_FASTPATH", "1") != "0"
+    return switch_enabled("REPRO_TCP_FASTPATH")
 
 
 class TCPStats:
@@ -251,14 +251,6 @@ class Connection:
         self._fp_tick = None
         self._fp_armed: set = set()
         self._fp_closing: set = set()
-        # Observer for planned/retracted completion boundaries: the sharded
-        # kernel (repro.shard) registers one per cut connection so it can
-        # emit a cross-shard completion message the moment the delivery time
-        # of a response's final byte becomes known — and retract it if a
-        # later write replans the tail.  ``hook(transfer, d)`` announces a
-        # boundary planned to land at ``d``; ``hook(transfer, None)``
-        # retracts it.  None (the default) costs one guard per plan append.
-        self._fp_boundary_hook = None
         self._fp_advancing = False
         # Timestamp of the earliest pending plan entry (_INF when the plan
         # is fully applied): lets _fp_advance — called on every observation
@@ -785,18 +777,14 @@ class Connection:
             del sends[si:]
             del delivs[len(delivs) - k :]
             del acks[len(acks) - k :]
-            hook = self._fp_boundary_hook
             while done_evs and done_evs[-1][0] > planned:
                 end, ev, transfer = done_evs.pop()
                 if ev.callbacks is not None:
                     env._cancel(ev)
                 boundaries.appendleft((end, transfer))
-                if hook is not None:
-                    hook(transfer, None)
 
         next_end = boundaries[0][0] if boundaries else _INF
         boundary_cb = self._fp_boundary_cb
-        hook = self._fp_boundary_hook
 
         # (2) Send immediately what cwnd allows — the slow path's _pump at
         # `now`, with the delivery timer replaced by a plan entry.
@@ -822,8 +810,6 @@ class Connection:
                     ev = env.schedule_at(d)
                     ev.callbacks.append(boundary_cb)
                     done_evs.append((end, ev, transfer))
-                    if hook is not None:
-                        hook(transfer, d)
                 next_end = boundaries[0][0] if boundaries else _INF
         self._unsent = unsent
         self._in_flight = in_flight
@@ -860,8 +846,6 @@ class Connection:
                             ev = env.schedule_at(d)
                             ev.callbacks.append(boundary_cb)
                             done_evs.append((end, ev, transfer))
-                            if hook is not None:
-                                hook(transfer, d)
                         next_end = boundaries[0][0] if boundaries else _INF
         self._fp_planned = planned
 

@@ -42,7 +42,6 @@ class ConnectionPool:
         link,
         calibration,
         breaker: Optional[CircuitBreaker] = None,
-        connect=None,
     ):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size!r}")
@@ -51,12 +50,6 @@ class ConnectionPool:
         self.size = size
         self._link = link
         self._calibration = calibration
-        #: Optional connection factory override (``connect(index)``): the
-        #: sharded kernel supplies one that returns a cut-edge stub when
-        #: the downstream tier lives on another shard, in which case
-        #: ``downstream`` may be ``None``.  Default ``None`` keeps the
-        #: historical in-process wiring.
-        self._connect = connect
         self._idle: Store = Store(env)
         self.connections: List[Connection] = []
         for _ in range(size):
@@ -74,8 +67,6 @@ class ConnectionPool:
 
     def _fresh(self) -> Connection:
         """Open a new connection to the downstream tier."""
-        if self._connect is not None:
-            return self._connect(len(self.connections))
         connection = Connection(self.env, self._link, self._calibration)
         self.downstream.attach(connection)
         return connection

@@ -34,7 +34,6 @@ from repro.replica import (
 from repro.resilience import CircuitBreaker, HedgePolicy, ResiliencePolicy, RetryBudget
 from repro.servers.base import BaseServer, ServerLimits
 from repro.servers.threaded import ThreadedServer
-from repro.shard import resolve_shards
 from repro.servers.tomcat import TomcatAsyncServer, TomcatSyncServer
 from repro.sim.core import Environment
 from repro.sim.rng import SeedStreams
@@ -62,11 +61,6 @@ class NTierConfig:
     tomcat_db_pool: int = 40
     tomcat_workers: int = 32
     inter_tier_latency: float = 100.0e-6
-    #: Extra one-way latency on the client↔Apache link (0 keeps the
-    #: historical bare-LAN link, bit-identically).  A WAN-ish client
-    #: latency both models remote users and widens the client/server
-    #: lookahead window for the sharded kernel.
-    client_latency: float = 0.0
     calibration: Calibration = DEFAULT_CALIBRATION
     seed: int = 1
     #: Chaos plan: stall windows hit the *Tomcat* tier's CPU (the
@@ -110,10 +104,6 @@ class NTierConfig:
         if self.timeline_bucket < 0:
             raise ExperimentError(
                 f"timeline_bucket must be >= 0, got {self.timeline_bucket!r}"
-            )
-        if self.client_latency < 0:
-            raise ExperimentError(
-                f"client_latency must be >= 0, got {self.client_latency!r}"
             )
         if self.cache is not None:
             self.cache.validate()
@@ -475,12 +465,6 @@ class NTierResult:
     #: Host wall-clock seconds spent inside ``env.run``.  Wall clock is
     #: not deterministic, so it is excluded from equality.
     sim_wall_s: float = field(default=0.0, compare=False)
-    #: Per-shard kernel accounting (tuple of
-    #: :class:`repro.shard.ShardStats`); empty for serial runs.  Event
-    #: counts differ from the serial kernel's (cut-edge bookkeeping), and
-    #: stall times are wall clock, so the whole breakdown is excluded
-    #: from equality.
-    shard_events: "tuple" = field(default=(), compare=False)
 
     @property
     def throughput(self) -> float:
@@ -496,23 +480,9 @@ class NTierResult:
         return max(self.tier_utilization, key=self.tier_utilization.get)
 
 
-def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
-    """Run one 3-tier RUBBoS configuration and return its measurements.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` environment variable)
-    partitions the topology into per-tier kernel islands executed in
-    separate processes with conservative synchronization — same digests,
-    more cores.  Configurations the partitioner cannot prove safe fall
-    back to the serial kernel.
-    """
+def run_ntier(config: NTierConfig) -> NTierResult:
+    """Run one 3-tier RUBBoS configuration and return its measurements."""
     config.validate()
-    requested = resolve_shards(shards)
-    if requested > 1:
-        from repro.shard.runtime import run_ntier_sharded
-
-        sharded = run_ntier_sharded(config, requested)
-        if sharded is not None:
-            return sharded
     env = Environment()
     system = ThreeTierSystem(env, config)
     calib = config.calibration
@@ -572,7 +542,7 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
         for tier in system.cache_tiers():
             tier.prewarm_from_mix(mix)
 
-    client_link = Link.lan(calib, added_latency=config.client_latency)
+    client_link = Link.lan(calib)
     population = build_population(
         env,
         system.front_server,

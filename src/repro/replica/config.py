@@ -11,18 +11,16 @@ three ways (config absent == replicas=1/disabled == killed).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
+from repro.switches import switch_enabled
 
 __all__ = ["ReplicaConfig", "REPLICA_ENV", "replica_enabled"]
 
 #: Environment kill switch: set to ``0``/``off``/``no``/``false`` to force
 #: the classic single-instance topology regardless of configuration.
 REPLICA_ENV = "REPRO_REPLICA"
-
-_DISABLED = {"0", "off", "no", "false"}
 
 #: Load-balancing policies the :class:`~repro.replica.group.LoadBalancer`
 #: implements.
@@ -31,7 +29,7 @@ POLICIES = ("round_robin", "least_outstanding")
 
 def replica_enabled() -> bool:
     """True unless ``REPRO_REPLICA`` disables the replicated topology."""
-    return os.environ.get(REPLICA_ENV, "1").strip().lower() not in _DISABLED
+    return switch_enabled(REPLICA_ENV)
 
 
 @dataclass(frozen=True)

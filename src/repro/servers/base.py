@@ -154,18 +154,6 @@ class BaseServer:
     #: Architecture label used in reports; subclasses override.
     architecture = "base"
 
-    #: True when :meth:`_on_attach` has no simulation side effects beyond
-    #: pure bookkeeping (selector registration) — no CPU charges and, in
-    #: particular, no ``cpu.thread()`` creation, which perturbs the
-    #: thread-footprint factor every user-space charge is scaled by.
-    #: Thread-per-connection architectures spawn a handler thread at
-    #: attach time and must leave this False.  The sharded kernel only
-    #: allows *dynamically created* connections (cohort growth) across a
-    #: shard cut when the accepting server attaches passively, because
-    #: the attach then lands one link latency later than serial's
-    #: instantaneous attach and an active attach would shift CPU costs.
-    passive_attach = False
-
     def __init__(
         self,
         env: Environment,

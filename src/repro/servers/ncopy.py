@@ -26,7 +26,6 @@ class NCopyServer(BaseServer):
     """N independent single-threaded event loops, round-robin sharded."""
 
     architecture = "N-copy SingleT-Async"
-    passive_attach = True
 
     def __init__(self, *args, copies: int = 2, **kwargs):
         super().__init__(*args, **kwargs)

@@ -60,7 +60,6 @@ class NettyServer(BaseServer):
     """Worker-owned selectors + pipeline + bounded (writeSpin) writes."""
 
     architecture = "NettyServer"
-    passive_attach = True
 
     def __init__(
         self,

@@ -43,7 +43,6 @@ class ReactorServer(BaseServer):
     """Reactor + worker pool, separate read/write dispatch (4 switches)."""
 
     architecture = "sTomcat-Async"
-    passive_attach = True
 
     #: Whether the read-event worker also writes the response (the -Fix
     #: variant flips this to True).

@@ -23,7 +23,6 @@ class SingleThreadedServer(BaseServer):
     """Single-threaded event loop with a naive (spinning) write path."""
 
     architecture = "SingleT-Async"
-    passive_attach = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -69,7 +69,6 @@ class StagedServer(BaseServer):
     """Three-stage SEDA pipeline: read → compute → write."""
 
     architecture = "Staged-SEDA"
-    passive_attach = True
 
     def __init__(self, *args, stage_workers: int = 2, **kwargs):
         super().__init__(*args, **kwargs)

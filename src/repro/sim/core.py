@@ -689,37 +689,6 @@ class Environment:
         heappush(self._queue, (fire_at, priority, next(self._eid), t))
         return t
 
-    def schedule_keyed(
-        self,
-        event: Event,
-        fire_at: float,
-        key: int,
-        value: Any = None,
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Pre-trigger ``event`` like :meth:`schedule_event_at`, but with a
-        caller-chosen tie-break ``key`` instead of the next insertion id.
-
-        The sharded kernel (:mod:`repro.shard`) applies cross-shard message
-        batches on a receiving island whose local insertion counter has
-        diverged from the serial run's.  A partition-stable key — derived
-        from the message's (channel, sequence) identity, offset far above
-        any realistic local eid — keeps same-time ordering independent of
-        how many local events each island happened to process, which is
-        what makes the merged run digest-identical to the serial one.
-
-        The local eid counter is deliberately *not* consumed.
-        """
-        if fire_at < self._now:
-            raise ValueError(f"fire_at={fire_at!r} is in the past (now={self._now!r})")
-        if event._value is not _PENDING:
-            raise EventLifecycleError(f"{event!r} has already been triggered")
-        event._ok = True
-        event._value = value
-        event._fire_at = fire_at
-        heappush(self._queue, (fire_at, priority, key, event))
-        return event
-
     def schedule_event_at(
         self,
         event: Event,
@@ -934,51 +903,6 @@ class Environment:
             # drained early, so back-to-back run(until=...) calls compose.
             self._now = max(self._now, stop_time)
         return None
-
-    def run_window(self, stop: float) -> None:
-        """Run every event *strictly before* ``stop``; leave ``stop`` alone.
-
-        The conservative-sync primitive for the sharded kernel: a shard may
-        safely process local events up to (but not including) its barrier
-        horizon, because peers can still inject cross-shard messages firing
-        exactly *at* the horizon.  Unlike :meth:`run`, the clock is **not**
-        advanced to ``stop`` when the queue drains early — the next window
-        (or the epilogue ``run(until=duration)``) owns that advance, and an
-        early jump would let a process scheduled by an incoming message
-        observe a future ``now``.
-
-        Same inlined pop loop as :meth:`run`; keep the bodies in sync.
-        """
-        queue = self._queue
-        pool = self._timeout_pool
-        events_processed = 0
-        try:
-            while queue and queue[0][0] < stop:
-                self._now, _, _, event = heappop(queue)
-                if event._cancelled:
-                    event._cancelled = False
-                    event.callbacks = None
-                    self._cancelled_entries -= 1
-                    if event._poolable and len(pool) < _POOL_MAX:
-                        pool.append(event)
-                    continue
-                events_processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if event._poolable:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    if len(pool) < _POOL_MAX:
-                        pool.append(event)
-                elif not event._ok and not event.defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise ProcessError(f"event failed with non-exception {exc!r}")
-        finally:
-            self.events_processed += events_processed
 
     @staticmethod
     def _raise(exc: Any) -> Any:

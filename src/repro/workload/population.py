@@ -121,7 +121,6 @@ def build_population(
     deadline: Optional[float] = None,
     cohort: Optional[CohortConfig] = None,
     lazy_rampup: bool = False,
-    connect=None,
 ) -> "Union[Population, CohortPopulation]":
     """Create ``size`` closed-loop clients against ``server``.
 
@@ -150,12 +149,6 @@ def build_population(
     pending start timer at any moment) instead of pre-scheduling N start
     events; it is opt-in because deferring construction is visible to the
     server and would perturb historical digests.
-
-    ``connect`` overrides the connection factory (``connect(index)`` →
-    connection-like object): the sharded kernel supplies one returning a
-    cut-edge stub when the server lives on another shard, in which case
-    ``server`` may be ``None``.  Default ``None`` keeps the historical
-    in-process wiring.
     """
     if size < 1:
         raise ValueError(f"population size must be >= 1, got {size!r}")
@@ -187,7 +180,6 @@ def build_population(
                 retry=retry,
                 budget=budget,
                 deadline=deadline,
-                connect=connect,
             )
             return CohortPopulation(cohorts=[aggregate], recorder=recorder)
 
@@ -197,8 +189,6 @@ def build_population(
     )
 
     def _connect(index: int) -> Connection:
-        if connect is not None:
-            return connect(index)
         connection = Connection(
             env,
             link,

@@ -61,18 +61,6 @@
 #                 builder when killed; the cohort-marked rows are
 #                 deselected because they deliberately pin the lazy
 #                 engine's own digests).
-#   shard tier    the shard-marked tests (island partitioning rules,
-#                 conservative-sync primitives, the sharded golden rows
-#                 and the shard artifact benchmark) with REPRO_SHARDS=2
-#                 pinned, so every eligible simulation in the tier
-#                 actually exercises the forked-island kernel and must
-#                 still reproduce the serial digests bit-for-bit.
-#   shardkill     kill-switch equivalence: the full golden-digest
-#                 matrix re-executed under REPRO_SHARD=0 must reproduce
-#                 every digest bit-for-bit (with the feature killed the
-#                 sharded kernel is provably inert; the shard-marked
-#                 rows are deselected because they deliberately assert
-#                 that islands *did* run).
 #
 # Usage: tools/ci_check.sh [extra pytest args for both tiers]
 
@@ -93,7 +81,7 @@ run_tier() {
 }
 
 echo "[ci_check] fast tier (REPRO_JOBS=$REPRO_JOBS, cache: ${REPRO_CACHE:-on})"
-run_tier fast -m "not realnet and not chaos and not cache and not failover and not cohort and not dag and not shard" "$@"
+run_tier fast -m "not realnet and not chaos and not cache and not failover and not cohort and not dag" "$@"
 
 echo "[ci_check] chaos tier"
 run_tier chaos -m "chaos or resilience" tests benchmarks/test_bench_metastable.py "$@"
@@ -156,30 +144,6 @@ else
     export REPRO_COHORT="$_saved_repro_cohort"
 fi
 
-echo "[ci_check] shard tier (REPRO_SHARDS=2 pinned)"
-# REPRO_SHARDS (the default island count) and REPRO_SHARD (the kill
-# switch) are separate knobs: the tier pins the former so eligible runs
-# shard by default, then the kill run below pins the latter to 0.
-_saved_repro_shards="${REPRO_SHARDS-__unset__}"
-export REPRO_SHARDS=2
-run_tier shard -m shard tests benchmarks/test_bench_shard.py "$@"
-if [[ "$_saved_repro_shards" == "__unset__" ]]; then
-    unset REPRO_SHARDS
-else
-    export REPRO_SHARDS="$_saved_repro_shards"
-fi
-echo "[ci_check] shard kill-switch equivalence (REPRO_SHARD=0)"
-# The shard-marked rows are deselected: they assert that islands ran,
-# which the kill switch deliberately prevents.
-_saved_repro_shard="${REPRO_SHARD-__unset__}"
-export REPRO_SHARD=0
-run_tier shardkill -m "not shard" tests/test_kernel_determinism_golden.py "$@"
-if [[ "$_saved_repro_shard" == "__unset__" ]]; then
-    unset REPRO_SHARD
-else
-    export REPRO_SHARD="$_saved_repro_shard"
-fi
-
 echo "[ci_check] realnet tier"
 run_tier realnet -m realnet "$@"
 
@@ -203,4 +167,4 @@ else
     echo "[ci_check] perf-smoke tier skipped (no BENCH_core.json)"
 fi
 
-echo "[ci_check] done: fast ${fast_elapsed}s + chaos ${chaos_elapsed}s + cache ${cache_elapsed}s + failover ${failover_elapsed}s + replicakill ${replicakill_elapsed}s + dag ${dag_elapsed}s + dagkill ${dagkill_elapsed}s + cohort ${cohort_elapsed}s + cohortkill ${cohortkill_elapsed}s + shard ${shard_elapsed}s + shardkill ${shardkill_elapsed}s + realnet ${realnet_elapsed}s + tcpfast ${tcpfast_elapsed}s + perf ${perf_elapsed}s"
+echo "[ci_check] done: fast ${fast_elapsed}s + chaos ${chaos_elapsed}s + cache ${cache_elapsed}s + failover ${failover_elapsed}s + replicakill ${replicakill_elapsed}s + dag ${dag_elapsed}s + dagkill ${dagkill_elapsed}s + cohort ${cohort_elapsed}s + cohortkill ${cohortkill_elapsed}s + realnet ${realnet_elapsed}s + tcpfast ${tcpfast_elapsed}s + perf ${perf_elapsed}s"
