@@ -23,6 +23,13 @@ Because the reactor→worker dispatches of the asynchronous Tomcat
 architecture are modelled as real thread handoffs, the paper's Table II
 (4 / 2 / 0 / 0 user-space switches per request) *emerges* from this
 scheduler rather than being hard-coded.
+
+Each core is a callback state machine driven by pooled timers, not a
+generator process.  A burst whose completion is the only thing due at its
+instant costs one heap event, its quantum timer: the ``done`` waiters and
+the core's re-pick run inline through :meth:`Environment.succeed_then`,
+which falls back to queued delivery whenever inline delivery could be
+observed (see ``docs/architecture.md`` §2).
 """
 
 from __future__ import annotations
@@ -33,65 +40,151 @@ from typing import Deque, List, Optional
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.accounting import CPUCounters, CPUSnapshot
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import PRIORITY_URGENT, Environment, Event
 
 __all__ = ["CPU", "SimThread"]
-
-_QUEUED = 0
-_RUNNING = 1
-_DONE = 2
 
 
 class _Burst:
     """One submitted unit of CPU work (possibly sliced across quanta)."""
 
-    __slots__ = (
-        "thread",
-        "remaining_user",
-        "remaining_system",
-        "done",
-        "preempted",
-        "state",
-        "token",
-    )
+    __slots__ = ("thread", "remaining_user", "remaining_system", "done", "token")
 
     def __init__(self, thread: "SimThread", user: float, system: float, done: Event):
         self.thread = thread
         self.remaining_user = user
         self.remaining_system = system
         self.done = done
-        self.preempted = False
-        self.state = _QUEUED
         #: Current ready-queue entry (a one-slot list, cleared on take so
-        #: stale deque entries are skipped).
+        #: stale deque entries are skipped); ``None`` while not queued.
         self.token: Optional[list] = None
-
-    @property
-    def remaining(self) -> float:
-        return self.remaining_user + self.remaining_system
-
-    def consume(self, amount: float) -> "tuple[float, float]":
-        """Consume ``amount`` of work, system part first; returns the
-        (user, system) split actually consumed."""
-        sys_part = min(self.remaining_system, amount)
-        self.remaining_system -= sys_part
-        user_part = min(self.remaining_user, amount - sys_part)
-        self.remaining_user -= user_part
-        return user_part, sys_part
 
 
 class _Core:
-    """Per-core dispatch state."""
+    """One core's dispatch state machine, driven by pooled timer callbacks.
 
-    __slots__ = ("index", "last_thread", "busy", "slice_left", "wakeup", "last_preempted")
+    ``_pick`` chooses the next burst (or parks the core on the idle list),
+    the optional switch-cost timer leads to ``_run_quantum``, and the
+    quantum timer leads to ``_finish``, which either re-queues a preempted
+    burst or completes it and re-picks at the same instant.
+    """
 
-    def __init__(self, index: int, time_slice: float):
-        self.index = index
+    __slots__ = (
+        "cpu",
+        "last_thread",
+        "busy",
+        "slice_left",
+        "last_preempted",
+        "burst",
+        "pick_cb",
+        "run_cb",
+        "finish_cb",
+    )
+
+    def __init__(self, cpu: "CPU", time_slice: float):
+        self.cpu = cpu
         self.last_thread: Optional[SimThread] = None
         self.busy = False
         self.slice_left = time_slice
-        self.wakeup: Optional[Event] = None
         self.last_preempted = False
+        #: The burst this core is running (``None`` while idle).
+        self.burst: Optional[_Burst] = None
+        # One bound method each, reused for every timer (cf. Process._resume_cb).
+        self.pick_cb = self._pick
+        self.run_cb = self._run_quantum
+        self.finish_cb = self._finish
+
+    def _pick(self, _event: Optional[Event]) -> None:
+        cpu = self.cpu
+        # Sticky: the last thread keeps its core while its time slice has
+        # budget left and it has a queued burst — the behaviour of a kernel
+        # thread that issues back-to-back work without blocking.
+        thread = self.last_thread
+        if thread is not None and thread.alive and self.slice_left > 0:
+            burst = thread._pending
+            if burst is not None and burst.token is not None:
+                # Invalidate the ready-queue entry (lazy removal).
+                burst.token[0] = None
+                burst.token = None
+                cpu._queued -= 1
+                self.busy = True
+                self.burst = burst
+                self._run_quantum(None)
+                return
+        burst = cpu._pop_ready()
+        if burst is None:
+            self.busy = False
+            cpu._idle_cores.append(self)
+            return
+        self.busy = True
+        self.burst = burst
+        calib = cpu.calibration
+        if thread is not burst.thread:
+            cost = calib.context_switch_cost(cpu.runnable_count)
+            counters = cpu.counters
+            counters.context_switches += 1
+            if self.last_preempted:
+                counters.involuntary_switches += 1
+            else:
+                counters.voluntary_switches += 1
+            counters.switch_time += cost
+            counters.busy_system += cost
+            self.last_thread = burst.thread
+            self.slice_left = calib.time_slice
+            if cost > 0:
+                cpu.env.pooled_timeout(cost).callbacks.append(self.run_cb)
+                return
+        else:
+            # Same thread re-picked from the queue: fresh slice, no switch
+            # cost.
+            self.slice_left = calib.time_slice
+        self._run_quantum(None)
+
+    def _run_quantum(self, _event: Optional[Event]) -> None:
+        """Run one quantum (to completion if nobody else is waiting)."""
+        cpu = self.cpu
+        burst = self.burst
+        remaining_system = burst.remaining_system
+        remaining_user = burst.remaining_user
+        if cpu._queued > 0:
+            quantum = min(
+                remaining_user + remaining_system, self.slice_left, cpu.calibration.time_slice
+            )
+        else:
+            quantum = remaining_user + remaining_system
+        # Consume system work first, then user work (each part is the min
+        # of what is left and what the quantum still covers).
+        sys_part = quantum if quantum < remaining_system else remaining_system
+        burst.remaining_system = remaining_system - sys_part
+        user_quantum = quantum - sys_part
+        user_part = user_quantum if user_quantum < remaining_user else remaining_user
+        burst.remaining_user = remaining_user - user_part
+        counters = cpu.counters
+        counters.busy_user += user_part
+        counters.busy_system += sys_part
+        self.slice_left -= quantum
+        if quantum > 0:
+            cpu.env.pooled_timeout(quantum).callbacks.append(self.finish_cb)
+        else:
+            self._finish(None)
+
+    def _finish(self, _event: Optional[Event]) -> None:
+        burst = self.burst
+        self.burst = None
+        if burst.remaining_user + burst.remaining_system > 1e-15:
+            # Expired slice: the thread goes to the back of the queue and
+            # loses its core.
+            self.cpu._enqueue(burst)
+            self.last_preempted = True
+            self.slice_left = 0.0
+            self._pick(None)
+        else:
+            burst.thread._pending = None
+            self.last_preempted = False
+            # Waiters resume (and may resubmit) before this core re-picks,
+            # so a thread that issues back-to-back bursts keeps the core
+            # without a switch.
+            self.cpu.env.succeed_then(burst.done, self.pick_cb)
 
 
 class SimThread:
@@ -168,6 +261,10 @@ class CPU:
         self.cores = calibration.cores
         self.counters = CPUCounters()
         self.live_threads = 0
+        #: User-work multiplier for the current live-thread count (see
+        #: :meth:`Calibration.thread_footprint_factor`), kept current by the
+        #: thread registry instead of being recomputed per burst.
+        self._footprint = calibration.thread_footprint_factor(0)
         #: Gray-failure hook: every submitted burst is stretched by this
         #: factor (1.0 = healthy).  Set by
         #: :class:`~repro.faults.plan.DegradeWindow` injection to model a
@@ -178,11 +275,14 @@ class CPU:
         self._ready: Deque[_Burst] = deque()
         self._queued = 0
         self._cores: List[_Core] = [
-            _Core(i, calibration.time_slice) for i in range(self.cores)
+            _Core(self, calibration.time_slice) for _ in range(self.cores)
         ]
         self._idle_cores: List[_Core] = []
         for core in self._cores:
-            self.env.process(self._core_loop(core), name=f"{name}-core{core.index}")
+            # Each core makes its first pick at an urgent start event, the
+            # slot a newly started process would take.
+            start = env.pooled_schedule_at(env.now, priority=PRIORITY_URGENT)
+            start.callbacks.append(core.pick_cb)
 
     # ------------------------------------------------------------------
     # Thread registry
@@ -193,9 +293,11 @@ class CPU:
 
     def _register_thread(self, thread: SimThread) -> None:
         self.live_threads += 1
+        self._footprint = self.calibration.thread_footprint_factor(self.live_threads)
 
     def _unregister_thread(self, thread: SimThread) -> None:
         self.live_threads -= 1
+        self._footprint = self.calibration.thread_footprint_factor(self.live_threads)
         # Drop stale last-thread references so a dead thread's identity
         # cannot suppress a future context-switch count.
         for core in self._cores:
@@ -218,30 +320,28 @@ class CPU:
     # Scheduling
     # ------------------------------------------------------------------
     def _submit(self, thread: SimThread, user: float, system: float) -> Event:
-        done = self.env.event()
-        user = user * self.calibration.thread_footprint_factor(self.live_threads)
+        done = Event(self.env)
+        user = user * self._footprint
         if self.slowdown != 1.0:
             # Gray failure in effect: all work on this CPU is stretched.
             user *= self.slowdown
             system *= self.slowdown
-        burst = _Burst(thread, user, system, done)
         self.counters.bursts += 1
-        if burst.remaining <= 0.0:
+        if user + system <= 0.0:
             # Zero-length burst: complete immediately without a core.
             done.succeed()
             return done
+        burst = _Burst(thread, user, system, done)
         thread._pending = burst
         self._enqueue(burst)
         if self._idle_cores:
             core = self._idle_cores.pop()
-            if core.wakeup is not None and not core.wakeup.triggered:
-                core.wakeup.succeed()
+            self.env.pooled_timeout(0.0).callbacks.append(core.pick_cb)
         return done
 
     def _enqueue(self, burst: _Burst) -> None:
         token = [burst]
         burst.token = token
-        burst.state = _QUEUED
         self._ready.append(token)
         self._queued += 1
 
@@ -255,92 +355,6 @@ class CPU:
                 self._queued -= 1
                 return burst
         return None
-
-    def _take_sticky(self, core: _Core) -> Optional[_Burst]:
-        """The last thread's next burst, if it may keep the core.
-
-        A thread keeps its core while its time slice has budget left and it
-        has a queued burst — the behaviour of a kernel thread that issues
-        back-to-back work without blocking.
-        """
-        thread = core.last_thread
-        if thread is None or not thread.alive or core.slice_left <= 0:
-            return None
-        burst = thread._pending
-        if burst is None or burst.state != _QUEUED or burst.token is None:
-            return None
-        # Invalidate the ready-queue entry (lazy removal).
-        burst.token[0] = None
-        burst.token = None
-        self._queued -= 1
-        return burst
-
-    # ------------------------------------------------------------------
-    def _core_loop(self, core: _Core):
-        calib = self.calibration
-        env = self.env
-        while True:
-            burst = self._take_sticky(core)
-            sticky = burst is not None
-            if burst is None:
-                burst = self._pop_ready()
-            if burst is None:
-                core.busy = False
-                core.wakeup = env.event()
-                self._idle_cores.append(core)
-                yield core.wakeup
-                core.wakeup = None
-                continue
-
-            core.busy = True
-            burst.state = _RUNNING
-            if not sticky and core.last_thread is not burst.thread:
-                cost = calib.context_switch_cost(self.runnable_count)
-                self.counters.context_switches += 1
-                if core.last_preempted:
-                    self.counters.involuntary_switches += 1
-                else:
-                    self.counters.voluntary_switches += 1
-                self.counters.switch_time += cost
-                self.counters.busy_system += cost
-                core.last_thread = burst.thread
-                core.slice_left = calib.time_slice
-                if cost > 0:
-                    # Pooled: the core loop never retains its sleep timers
-                    # and is never interrupted (see pooled_timeout contract).
-                    yield env.pooled_timeout(cost)
-            elif not sticky:
-                # Same thread re-picked from the queue: fresh slice, no
-                # switch cost.
-                core.slice_left = calib.time_slice
-
-            # Run one quantum (to completion if nobody else is waiting).
-            if self._queued > 0:
-                quantum = min(burst.remaining, core.slice_left, calib.time_slice)
-            else:
-                quantum = burst.remaining
-            user_part, sys_part = burst.consume(quantum)
-            self.counters.busy_user += user_part
-            self.counters.busy_system += sys_part
-            if quantum > 0:
-                yield env.pooled_timeout(quantum)
-            core.slice_left -= quantum
-
-            if burst.remaining > 1e-15:
-                burst.preempted = True
-                self._enqueue(burst)
-                core.last_preempted = True
-                # Expired slice: the thread goes to the back of the queue
-                # and loses its core.
-                core.slice_left = 0.0
-            else:
-                burst.thread._pending = None
-                core.last_preempted = False
-                burst.done.succeed()
-                # Let the woken process resubmit (same timestamp) before
-                # this core picks its next burst, so a thread that issues
-                # back-to-back bursts keeps the core without a switch.
-                yield env.pooled_timeout(0.0)
 
     def __repr__(self) -> str:
         return (

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import random
 import sys
@@ -68,8 +69,9 @@ BENCH_FILENAME = "BENCH_core.json"
 #: a benchmark is added, removed or re-shaped so that
 #: :func:`compare_to_baseline` refuses to gate against a baseline from a
 #: different suite generation instead of silently comparing mismatched
-#: numbers.  v7 dropped the ``shard_*`` rows.
-SUITE_VERSION = 7
+#: numbers.  v7 dropped the ``shard_*`` rows; v8 gates
+#: ``micro_requests_per_sec`` instead of ``micro_events_per_sec``.
+SUITE_VERSION = 8
 
 #: Metrics where *higher* is better (rates); everything else in
 #: ``results`` is a wall time where lower is better.
@@ -77,7 +79,7 @@ RATE_METRICS = (
     "kernel_events_per_sec",
     "timeout_churn_per_sec",
     "tcp_sim_mbytes_per_sec",
-    "micro_events_per_sec",
+    "micro_requests_per_sec",
     "tcp_spin_mbytes_per_sec",
     "tcp_spin_rtt5_mbytes_per_sec",
     "tcp_drain_mbytes_per_sec",
@@ -423,9 +425,11 @@ def bench_micro_wall(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
         result = run_micro(config)
         wall = time.perf_counter() - started
         events = float(getattr(result, "kernel_events", 0) or 0)
+        completed = float(result.report.completed)
         return {
             "wall_s": wall,
-            "completed": float(result.report.completed),
+            "completed": completed,
+            "requests_per_sec": completed / wall if wall > 0 else 0.0,
             "events_per_sec": events / wall if wall > 0 and events else 0.0,
         }
 
@@ -621,6 +625,8 @@ def run_perf_suite(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
             "python": sys.version.split()[0],
             "implementation": platform.python_implementation(),
             "platform": platform.platform(),
+            "cores": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
         },
         "results": {
             "kernel_events_per_sec": round(kernel["events_per_sec"], 1),
@@ -639,6 +645,7 @@ def run_perf_suite(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
             "cache_hit_ratio": round(cache["hit_ratio"], 4),
             "micro_wall_s": round(micro["wall_s"], 4),
             "micro_events_per_sec": round(micro["events_per_sec"], 1),
+            "micro_requests_per_sec": round(micro["requests_per_sec"], 1),
             "micro_completed": micro["completed"],
             "million_clients": million["clients"],
             "million_wall_s": round(million["wall_s"], 4),
@@ -660,10 +667,12 @@ def run_perf_suite(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
 def render_perf_suite(payload: Dict[str, object]) -> str:
     """Human-readable table of one suite run."""
     results = payload["results"]  # type: ignore[index]
+    host = payload["host"]  # type: ignore[index]
     lines = [
         "=" * 72,
         "PERF — DES kernel benchmark suite "
-        f"(scale {payload['scale']}, {payload['host']['python']})",  # type: ignore[index]
+        f"(scale {payload['scale']}, {host['python']}, "
+        f"{host['cores']} cores, {host['usable_cpus']} usable)",
         "=" * 72,
     ]
     for key in sorted(results):  # type: ignore[arg-type]

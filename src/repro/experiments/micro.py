@@ -31,6 +31,7 @@ from repro.servers.threaded import ThreadedServer
 from repro.servers.tomcat import TomcatAsyncServer, TomcatSyncServer
 from repro.sim.core import Environment
 from repro.sim.rng import SeedStreams
+from repro.switches import warn_unknown_variables
 from repro.workload.client import ExponentialThink, RetryPolicy
 from repro.workload.mixes import FixedMix, RequestMix
 from repro.workload.population import ConnectionOptions, build_population
@@ -250,6 +251,7 @@ def run_micro(config: MicroConfig, streaming: bool = False) -> MicroResult:
     for exact percentiles.  The simulation itself is bit-identical either
     way — only the measurement sampler changes.
     """
+    warn_unknown_variables()
     if config.concurrency < 1:
         raise ExperimentError(f"concurrency must be >= 1, got {config.concurrency!r}")
     if config.duration <= config.warmup:

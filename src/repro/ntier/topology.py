@@ -37,6 +37,7 @@ from repro.servers.threaded import ThreadedServer
 from repro.servers.tomcat import TomcatAsyncServer, TomcatSyncServer
 from repro.sim.core import Environment
 from repro.sim.rng import SeedStreams
+from repro.switches import warn_unknown_variables
 from repro.cohort import CohortConfig
 from repro.workload.client import ExponentialThink, RetryPolicy
 from repro.workload.mixes import RequestMix
@@ -482,6 +483,7 @@ class NTierResult:
 
 def run_ntier(config: NTierConfig) -> NTierResult:
     """Run one 3-tier RUBBoS configuration and return its measurements."""
+    warn_unknown_variables()
     config.validate()
     env = Environment()
     system = ThreeTierSystem(env, config)

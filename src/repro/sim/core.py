@@ -42,11 +42,14 @@ single result (the golden-digest tests pin bit-identical behaviour):
   :meth:`Environment._cancel`;
 * ``any_of``/``all_of`` prune their losing :class:`Timeout` children once
   the condition triggers, which keeps far-future retry deadlines from
-  piling up in the heap (the client retry pattern).
+  piling up in the heap (the client retry pattern);
+* a completion that is the only thing due at its instant runs its
+  waiters and follow-up inline instead of through two heap entries — see
+  :meth:`Environment.succeed_then`.
 
-The insertion-sequence counter is consumed at exactly the same points as
-before any of this machinery existed, which is what makes the fast path
-observationally equivalent.
+Events keep the same relative insertion order as before any of this
+machinery existed, which is what makes the fast path observationally
+equivalent.
 """
 
 from __future__ import annotations
@@ -668,6 +671,12 @@ class Environment:
         """
         if fire_at < self._now:
             raise ValueError(f"fire_at={fire_at!r} is in the past (now={self._now!r})")
+        t = self._pooled_timer(fire_at, value)
+        heappush(self._queue, (fire_at, priority, next(self._eid), t))
+        return t
+
+    def _pooled_timer(self, fire_at: float, value: Any = None) -> Timeout:
+        """A pooled timeout armed for ``fire_at`` but not yet pushed."""
         pool = self._timeout_pool
         if pool:
             t = pool.pop()
@@ -686,8 +695,59 @@ class Environment:
             t._cancelled = False
         t._delay = fire_at - self._now
         t._fire_at = fire_at
-        heappush(self._queue, (fire_at, priority, next(self._eid), t))
         return t
+
+    def succeed_then(self, event: Event, callback: Callable[[Event], None]) -> None:
+        """Succeed ``event``, then call ``callback`` once its waiters have run.
+
+        Observationally identical to::
+
+            event.succeed()
+            self.pooled_timeout(0.0).callbacks.append(callback)
+
+        but usually without touching the heap.  When nothing is queued at
+        ``now``, the event would be the very next one popped, so its
+        callbacks run inline.  The follow-up's insertion sequence is drawn
+        first, so anything the waiters schedule still sorts after it; the
+        follow-up then runs inline too unless a waiter queued an urgent
+        event at ``now`` (a process start, an interrupt), in which case it
+        is pushed under the reserved sequence.  It is also pushed if a
+        waiter raises (:class:`StopSimulation` from ``run(until=event)``),
+        so a later :meth:`run` carries on exactly where the heap would
+        have.  Inline deliveries are not counted in ``events_processed``.
+
+        ``callback`` receives the zero-delay timer when pushed and
+        ``event`` when run inline.
+        """
+        queue = self._queue
+        now = self._now
+        if queue and queue[0][0] <= now:
+            event.succeed()
+            self.pooled_timeout(0.0).callbacks.append(callback)
+            return
+        if event._value is not _PENDING:
+            raise EventLifecycleError(f"{event!r} has already been triggered")
+        event._ok = True
+        event._value = None
+        seq = next(self._eid)
+        callbacks = event.callbacks
+        event.callbacks = None
+        try:
+            for waiter in callbacks:
+                waiter(event)
+        except BaseException:
+            self._push_follow_up(seq, callback)
+            raise
+        if queue and queue[0][:2] < (now, PRIORITY_NORMAL):
+            self._push_follow_up(seq, callback)
+        else:
+            callback(event)
+
+    def _push_follow_up(self, seq: int, callback: Callable[[Event], None]) -> None:
+        """Queue ``callback`` as a zero-delay pooled timer under ``seq``."""
+        t = self._pooled_timer(self._now)
+        t.callbacks.append(callback)
+        heappush(self._queue, (self._now, PRIORITY_NORMAL, seq, t))
 
     def schedule_event_at(
         self,
