@@ -8,17 +8,15 @@ breakers), and each node's async branches join under a declared fan-in
 policy — ``wait_all``, ``quorum(k)`` or ``best_effort(timeout)`` — with
 exact degraded-response accounting.
 
-Subject to the ``REPRO_DAG=0`` kill switch: killed or disabled configs
-fall back to the classic linear builder bit-for-bit.
+``dag=None`` on the run config is the one off state: it builds the
+classic linear chain.
 """
 
 from repro.dag.config import (
-    DAG_ENV,
     DagConfig,
     Edge,
     FAN_IN_POLICIES,
     ServiceNode,
-    dag_enabled,
 )
 from repro.dag.runtime import (
     DagServiceApplication,
@@ -28,12 +26,10 @@ from repro.dag.runtime import (
 )
 
 __all__ = [
-    "DAG_ENV",
     "DagConfig",
     "Edge",
     "FAN_IN_POLICIES",
     "ServiceNode",
-    "dag_enabled",
     "DagServiceApplication",
     "EdgeRuntime",
     "fanin_outcome",

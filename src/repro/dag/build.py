@@ -26,7 +26,6 @@ from repro.dag.config import DagConfig, ServiceNode
 from repro.dag.runtime import DagServiceApplication, EdgeRuntime
 from repro.net.link import Link
 from repro.ntier.pool import ConnectionPool
-from repro.replica.config import replica_enabled
 from repro.replica.group import Replica, ReplicaGroup
 from repro.resilience import CircuitBreaker
 from repro.servers.base import ServerLimits
@@ -84,11 +83,10 @@ class _NodeInstance:
 class DagNodeBuild:
     """One built node: its config plus live instances and shared app."""
 
-    def __init__(self, node: ServiceNode, replicated: bool):
+    def __init__(self, node: ServiceNode):
         self.node = node
-        #: Whether the replicated path actually ran (config active *and*
-        #: the ``REPRO_REPLICA`` kill switch allowed it).
-        self.replicated = replicated
+        #: Whether the node runs the replicated path (``replicas > 1``).
+        self.replicated = node.replica is not None and node.replica.active
         #: Shared across instances so node counters aggregate naturally.
         self.app: Optional[DagServiceApplication] = None
         self.servers: list = []
@@ -239,12 +237,7 @@ def build_dag_system(env, config) -> DagSystem:
 
     system = DagSystem(dag)
     for node in dag.nodes:
-        replicated = (
-            node.replica is not None
-            and node.replica.active
-            and replica_enabled()
-        )
-        system.nodes[node.name] = DagNodeBuild(node, replicated)
+        system.nodes[node.name] = DagNodeBuild(node)
 
     # Leaves first, so every edge's target exists before its pool.
     for name in dag.topo_order():

@@ -462,15 +462,9 @@ def bench_million(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     ``clients_per_sec`` is scale-free-ish (wall grows with the active
     fringe, which grows with N) and is the gated rate metric.
     """
-    from repro.cohort import CohortConfig, cohort_enabled
+    from repro.cohort import CohortConfig
     from repro.experiments.micro import MicroConfig, run_micro
 
-    if not cohort_enabled():
-        raise ExperimentError(
-            "bench_million needs the cohort engine; unset REPRO_COHORT "
-            "(or set it to 1) — under REPRO_COHORT=0 the big run would "
-            "fall back to hours of per-client simulation"
-        )
     clients = max(10_000, int(round(1_000_000 * scale)))
     ab_clients = max(1_000, min(20_000, clients // 50))
 
@@ -548,16 +542,10 @@ def bench_dag(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     ``completed`` count is a determinism sanity (pure function of the
     seed).
     """
-    from repro.dag import DagConfig, Edge, ServiceNode, dag_enabled
+    from repro.dag import DagConfig, Edge, ServiceNode
     from repro.ntier.topology import NTierConfig, run_ntier
     from repro.workload.mixes import FixedMix
 
-    if not dag_enabled():
-        raise ExperimentError(
-            "bench_dag needs the DAG engine; unset REPRO_DAG (or set it "
-            "to 1) — under REPRO_DAG=0 the topology silently degrades to "
-            "the linear chain and the rate would gate the wrong code path"
-        )
     duration = 0.5 + 2.5 * scale
     leaves = ("text", "media", "graph")
     dag = DagConfig(

@@ -276,9 +276,7 @@ def run_micro(config: MicroConfig, streaming: bool = False) -> MicroResult:
             budget = RetryBudget(policy.retry_budget)
     link = Link.lan(calib, added_latency=config.added_latency)
     cohort = config.cohort
-    lazy_cohort = (
-        cohort is not None and cohort.enabled and cohort.lazy_active()
-    )
+    lazy_cohort = cohort is not None and cohort.materialize == "lazy"
     if lazy_cohort and config.concurrency >= cohort.streaming_threshold:
         # Bounded-heap measurement for bounded-heap populations.
         streaming = True

@@ -1,15 +1,15 @@
-"""Environment kill switches for the optional simulation layers.
+"""Environment switches and the ``REPRO_*`` name registry.
 
-Each optional layer reads one ``REPRO_*`` variable that defaults to on:
-the TCP flow-level fast path (``REPRO_TCP_FASTPATH``), the cache tier and
-sweep memo cache (``REPRO_CACHE``), cohort aggregation (``REPRO_COHORT``),
-the service DAG (``REPRO_DAG``) and replica groups (``REPRO_REPLICA``).
+Two variables switch something off: ``REPRO_TCP_FASTPATH`` (the TCP
+flow-level fast path) and ``REPRO_CACHE`` (the sweep memo cache).
 ``0``, ``off``, ``no`` and ``false`` — in any case, with surrounding
-whitespace — turn a layer off; any other value, or none, leaves it on.
+whitespace — turn one off; any other value, or none, leaves it on.
+Optional simulation layers (cache tier, replicas, cohorts, DAG) have
+no switch: a ``None`` config is their one off state.
 
 :data:`KNOWN_VARIABLES` lists every ``REPRO_*`` name the package reads;
 :func:`warn_unknown_variables` flags any other one that is set, so a
-misspelled or imagined switch does not silently do nothing.
+misspelled, imagined or retired switch does not silently do nothing.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ __all__ = ["KNOWN_VARIABLES", "switch_enabled", "warn_unknown_variables"]
 
 _DISABLED = frozenset({"0", "off", "no", "false"})
 
-#: Every ``REPRO_*`` environment variable the package reads: the five layer
-#: kill switches, then the sweep, cache-directory and benchmark settings.
+#: Every ``REPRO_*`` environment variable the package reads: the two
+#: switches, then the sweep, cache-directory and benchmark settings.
 KNOWN_VARIABLES = (
     "REPRO_TCP_FASTPATH",
     "REPRO_CACHE",
-    "REPRO_COHORT",
-    "REPRO_DAG",
-    "REPRO_REPLICA",
     "REPRO_JOBS",
     "REPRO_BENCH_SCALE",
     "REPRO_CACHE_DIR",

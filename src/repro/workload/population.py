@@ -13,8 +13,7 @@ Two construction strategies exist:
 * the **aggregate** :class:`~repro.cohort.engine.Cohort` engine
   (``CohortConfig(materialize="lazy")``) — counting state plus a bounded
   connection bundle, for populations far beyond what per-object
-  simulation can hold.  ``REPRO_COHORT=0`` demotes it to the classic
-  builder.
+  simulation can hold.
 """
 
 from __future__ import annotations
@@ -141,23 +140,23 @@ def build_population(
     carries an absolute deadline that downstream tiers honour.
 
     ``cohort`` selects the aggregate engine: with ``materialize="lazy"``
-    (and ``REPRO_COHORT`` not disabling it) a :class:`CohortPopulation`
-    is returned instead of N live clients; ``materialize="always"`` — and
-    the kill switch — fall back to the classic builder here, so the same
-    scenario runs on either machinery.  ``lazy_rampup`` makes the classic
-    builder spawn each client from the previous one's start event (one
-    pending start timer at any moment) instead of pre-scheduling N start
-    events; it is opt-in because deferring construction is visible to the
-    server and would perturb historical digests.
+    a :class:`CohortPopulation` is returned instead of N live clients;
+    ``materialize="always"`` falls back to the classic builder here, so
+    the same scenario runs on either machinery.  ``lazy_rampup`` makes
+    the classic builder spawn each client from the previous one's start
+    event (one pending start timer at any moment) instead of
+    pre-scheduling N start events; it is opt-in because deferring
+    construction is visible to the server and would perturb historical
+    digests.
     """
     if size < 1:
         raise ValueError(f"population size must be >= 1, got {size!r}")
     think = think or NoThink()
     first_think = False
-    if cohort is not None and cohort.enabled:
+    if cohort is not None:
         cohort.validate()
         first_think = cohort.first_think
-        if cohort.lazy_active():
+        if cohort.materialize == "lazy":
             # Imported here, not at module top: the engine itself imports
             # repro.workload (clients, mixes), so a top-level import would
             # be circular through the package __init__.
