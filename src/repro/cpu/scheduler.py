@@ -26,10 +26,13 @@ scheduler rather than being hard-coded.
 
 Each core is a callback state machine driven by pooled timers, not a
 generator process.  A burst whose completion is the only thing due at its
-instant costs one heap event, its quantum timer: the ``done`` waiters and
-the core's re-pick run inline through :meth:`Environment.succeed_then`,
-which falls back to queued delivery whenever inline delivery could be
-observed (see ``docs/architecture.md`` §2).
+instant costs at most one heap event, its quantum timer: the ``done``
+waiters and the core's re-pick run inline through
+:meth:`Environment.succeed_then`, which falls back to queued delivery
+whenever inline delivery could be observed.  When that timer would also
+be the very next event popped (:meth:`Environment.schedule_unless_next`),
+the core skips it and finishes the burst in place (see
+``docs/architecture.md`` §2).
 """
 
 from __future__ import annotations
@@ -67,6 +70,14 @@ class _Core:
     the optional switch-cost timer leads to ``_run_quantum``, and the
     quantum timer leads to ``_finish``, which either re-queues a preempted
     burst or completes it and re-picks at the same instant.
+
+    Each of the three always runs as the last action of its dispatch, so
+    the quantum timer ``_run_quantum`` is about to push is the next event
+    popped exactly when :meth:`Environment.schedule_unless_next` finds it
+    next in line and pushes nothing.  Then the core runs ahead instead:
+    it moves the clock to the finish time and calls ``_finish`` itself,
+    in the ``_run_ahead`` loop rather than by recursion, since finishing
+    leads straight back to ``_run_quantum``.
     """
 
     __slots__ = (
@@ -79,6 +90,8 @@ class _Core:
         "pick_cb",
         "run_cb",
         "finish_cb",
+        "ahead_at",
+        "running_ahead",
     )
 
     def __init__(self, cpu: "CPU", time_slice: float):
@@ -93,6 +106,10 @@ class _Core:
         self.pick_cb = self._pick
         self.run_cb = self._run_quantum
         self.finish_cb = self._finish
+        #: Finish time of the burst to complete in place (``None`` if none).
+        self.ahead_at: Optional[float] = None
+        #: True while ``_run_ahead`` is on the stack.
+        self.running_ahead = False
 
     def _pick(self, _event: Optional[Event]) -> None:
         cpu = self.cpu
@@ -163,10 +180,26 @@ class _Core:
         counters.busy_user += user_part
         counters.busy_system += sys_part
         self.slice_left -= quantum
-        if quantum > 0:
-            cpu.env.pooled_timeout(quantum).callbacks.append(self.finish_cb)
-        else:
+        if quantum <= 0:
             self._finish(None)
+            return
+        fire_at = cpu.env.schedule_unless_next(quantum, self.finish_cb)
+        if fire_at is not None:
+            self.ahead_at = fire_at
+            if not self.running_ahead:
+                self._run_ahead()
+
+    def _run_ahead(self) -> None:
+        """Finish bursts in place while their timers would pop next."""
+        env = self.cpu.env
+        self.running_ahead = True
+        try:
+            while self.ahead_at is not None:
+                env._now = self.ahead_at
+                self.ahead_at = None
+                self._finish(None)
+        finally:
+            self.running_ahead = False
 
     def _finish(self, _event: Optional[Event]) -> None:
         burst = self.burst
@@ -217,8 +250,21 @@ class SimThread:
             return self.run_split(0.0, duration)
         raise ValueError(f"unknown burst kind {kind!r}")
 
-    def run_split(self, user: float, system: float) -> Event:
-        """Submit a burst with an explicit (user, system) time split."""
+    def run_split(
+        self,
+        user: float,
+        system: float,
+        *,
+        done: Optional[Event] = None,
+        at_tail: bool = False,
+    ) -> Event:
+        """Submit a burst with an explicit (user, system) time split.
+
+        Callback-driven callers may pass ``done``, an untriggered event to
+        complete instead of a fresh one, and ``at_tail=True`` when this
+        call is the last action of the current dispatch: an idle core then
+        picks the burst inline when its pick timer would pop next anyway.
+        """
         if not self.alive:
             raise SimulationError(f"thread {self.name!r} is closed")
         if user < 0 or system < 0:
@@ -227,7 +273,7 @@ class SimThread:
             raise SimulationError(
                 f"thread {self.name!r} already has an outstanding burst"
             )
-        return self.cpu._submit(self, user, system)
+        return self.cpu._submit(self, user, system, done, at_tail)
 
     def syscall(self, bytes_copied: int = 0, extra_kernel: float = 0.0) -> Event:
         """Execute one syscall: fixed user+kernel crossing cost plus a
@@ -319,8 +365,17 @@ class CPU:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _submit(self, thread: SimThread, user: float, system: float) -> Event:
-        done = Event(self.env)
+    def _submit(
+        self,
+        thread: SimThread,
+        user: float,
+        system: float,
+        done: Optional[Event] = None,
+        at_tail: bool = False,
+    ) -> Event:
+        env = self.env
+        if done is None:
+            done = Event(env)
         user = user * self._footprint
         if self.slowdown != 1.0:
             # Gray failure in effect: all work on this CPU is stretched.
@@ -336,7 +391,10 @@ class CPU:
         self._enqueue(burst)
         if self._idle_cores:
             core = self._idle_cores.pop()
-            self.env.pooled_timeout(0.0).callbacks.append(core.pick_cb)
+            if at_tail and not env.due_by(env._now):
+                core._pick(None)
+            else:
+                env.pooled_timeout(0.0).callbacks.append(core.pick_cb)
         return done
 
     def _enqueue(self, burst: _Burst) -> None:

@@ -25,16 +25,16 @@ macro-benchmark (Tomcat tier calling a MySQL tier).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.scheduler import CPU, SimThread
-from repro.errors import ServerError
+from repro.errors import ConnectionClosedError, ServerError
 from repro.net.messages import Request
 from repro.net.tcp import Connection
 from repro.resilience.admission import AdaptiveLimiter
 from repro.resilience.policy import AdmissionConfig
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Event, ReusableEvent
 
 __all__ = [
     "Application",
@@ -169,6 +169,9 @@ class BaseServer:
         self.app = app or ComputeApplication(self.calibration)
         self.name = name or self.architecture
         self.connections: List[Connection] = []
+        #: The same connections as a set, for the double-attach check
+        #: (``connections`` is only ever appended to).
+        self._attached: Set[Connection] = set()
         self.stats = ServerStats()
         #: Optional :class:`~repro.metrics.tracing.RequestTracer`; when
         #: set, the server marks request-lifecycle milestones on it.
@@ -224,7 +227,7 @@ class BaseServer:
         client observes the close) and counted, not raised — refusal is an
         expected overload outcome, not a programming error.
         """
-        if connection in self.connections:
+        if connection in self._attached:
             raise ServerError("connection already attached")
         if self.down:
             # Crashed instance: nothing is listening, the SYN is answered
@@ -241,6 +244,7 @@ class BaseServer:
             connection.close()
             return
         self.connections.append(connection)
+        self._attached.add(connection)
         self._on_attach(connection)
 
     def _on_attach(self, connection: Connection) -> None:
@@ -267,12 +271,19 @@ class BaseServer:
         self._trace(request, "read", thread.name)
         return request
 
-    def _charge_write(self, thread: SimThread, written: int):
+    def _charge_write(
+        self,
+        thread: SimThread,
+        written: int,
+        done: Optional[Event] = None,
+        at_tail: bool = False,
+    ):
         """CPU cost of one non-blocking ``socket.write()`` call.
 
         User side: syscall crossing plus JVM NIO bookkeeping.  Kernel
         side: syscall entry, user→kernel copy, and the TX path for the
-        segments produced.  Returns the burst-completion event.
+        segments produced.  Returns the burst-completion event; ``done``
+        and ``at_tail`` pass through to :meth:`SimThread.run_split`.
         """
         calib = self.calibration
         self.cpu.counters.syscalls += 1
@@ -281,6 +292,8 @@ class BaseServer:
             calib.syscall_kernel_cost
             + calib.copy_cost_per_byte * written
             + calib.tx_kernel_cost(written),
+            done=done,
+            at_tail=at_tail,
         )
 
     def _admit(self, request: Request) -> Optional[int]:
@@ -395,26 +408,122 @@ def naive_spin_write(
 
     The loop always retries after a successful partial write and only
     waits once it observes a zero return, so both the non-zero and the
-    zero ("spin") writes of the paper's Table IV occur.
+    zero ("spin") writes of the paper's Table IV occur.  The spin count
+    is a digest-pinned observable (it *is* Table IV): the simulator may
+    thin the kernel's event stream beneath this loop, never the loop's
+    own syscall pattern.
 
-    Under the flow-level TCP fast path the ``wait_writable`` park is
-    answered by an armed wake-up at the next *planned* ACK time instead
-    of a per-segment event cascade, but each wake-up still lands at every
-    ACK granularity: the spin count here is a digest-pinned observable
-    (it *is* Table IV), so the fast path may thin the kernel's event
-    stream beneath this loop, never the loop's own syscall pattern.
+    A response that fits the send buffer costs one write and one burst,
+    waited on here.  A larger one is handed to :class:`_SpinWriter`, which
+    issues every further write from callbacks; this generator resumes
+    once, when the last burst completes (or the connection closes).
     """
     transfer = connection.open_transfer(response_size, request)
-    remaining = response_size
-    while remaining > 0:
-        written = connection.try_write(remaining, request)
+    if response_size > 0:
+        written = connection.try_write(response_size, request)
         server._trace(request, "write", f"{written}B")
-        yield server._charge_write(thread, written)
-        remaining -= written
-        if remaining > 0 and written == 0:
-            yield connection.wait_writable()
+        if written == response_size:
+            yield server._charge_write(thread, written)
+        else:
+            yield _SpinWriter(server, thread, connection, request, response_size, written).done
     server.stats.responses_written += 1
     # The handler does NOT wait for delivery: once the last byte is in the
     # kernel buffer the handler returns; delivery completes asynchronously
     # and the transfer marks the request completed at the client.
     del transfer
+
+
+class _SpinWriter:
+    """The rest of one :func:`naive_spin_write` loop, as a callback machine.
+
+    Issues the same ``try_write`` calls, traces and CPU bursts, at the
+    same instants and in the same order, as the generator loop it stands
+    in for, but without a generator resume per write:
+
+    * each intermediate burst completes ``step``, whose only waiter is
+      :meth:`_burst_done`; the CPU delivers it in the finished burst's
+      waiter slot (:meth:`Environment.succeed_then`);
+    * the last burst completes ``done``, the event the server's generator
+      waits on, so the generator resumes in that same slot;
+    * a :class:`ConnectionClosedError` from ``try_write`` fails ``done``
+      in place (:meth:`Environment.fail_now`), where the generator would
+      have raised it.
+
+    Two same-instant hops are skipped where nothing could observe them:
+    after a zero write, a wait that is already satisfied (the connection
+    is open, the buffer has space, nothing is due now and no other burst
+    is queued on the CPU, whose re-pick must take it first) continues in
+    place; and a wake-up, the tail of its dispatch, lets an idle core
+    pick the next burst inline (``at_tail``).
+    """
+
+    __slots__ = (
+        "server",
+        "thread",
+        "connection",
+        "request",
+        "remaining",
+        "written",
+        "done",
+        "step",
+        "burst_done_cb",
+        "wake_cb",
+    )
+
+    def __init__(
+        self,
+        server: BaseServer,
+        thread: SimThread,
+        connection: Connection,
+        request: Request,
+        response_size: int,
+        written: int,
+    ):
+        env = server.env
+        self.server = server
+        self.thread = thread
+        self.connection = connection
+        self.request = request
+        self.remaining = response_size
+        self.done = Event(env)
+        self.step = ReusableEvent(env)
+        self.burst_done_cb = self._burst_done
+        self.wake_cb = self._wake
+        self._charge(written, False)
+
+    def _charge(self, written: int, at_tail: bool) -> None:
+        remaining = self.remaining - written
+        self.remaining = remaining
+        self.written = written
+        if remaining:
+            done = self.step.rearm()
+            done.callbacks.append(self.burst_done_cb)
+        else:
+            done = self.done
+        self.server._charge_write(self.thread, written, done, at_tail)
+
+    def _burst_done(self, _event: Event) -> None:
+        if self.written == 0:
+            connection = self.connection
+            env = self.server.env
+            if (
+                connection.closed
+                or not connection.writable
+                or self.thread.cpu._queued
+                or env.due_by(env._now)
+            ):
+                connection.wait_writable().callbacks.append(self.wake_cb)
+                return
+        self._write(False)
+
+    def _wake(self, _event: Event) -> None:
+        self._write(True)
+
+    def _write(self, at_tail: bool) -> None:
+        try:
+            written = self.connection.try_write(self.remaining, self.request)
+        except ConnectionClosedError as exc:
+            self.server.env.fail_now(self.done, exc)
+            return
+        self.server._trace(self.request, "write", f"{written}B")
+        self._charge(written, at_tail)

@@ -45,7 +45,12 @@ single result (the golden-digest tests pin bit-identical behaviour):
   piling up in the heap (the client retry pattern);
 * a completion that is the only thing due at its instant runs its
   waiters and follow-up inline instead of through two heap entries — see
-  :meth:`Environment.succeed_then`.
+  :meth:`Environment.succeed_then`;
+* a timer that would be the very next event popped skips the heap
+  altogether (:meth:`Environment.schedule_unless_next`): CPU cores finish
+  uncontended bursts in place, and the spin writer takes its
+  same-instant hops inline when nothing else is due
+  (:meth:`Environment.due_by`; ``docs/architecture.md`` §2 and §4).
 
 Events keep the same relative insertion order as before any of this
 machinery existed, which is what makes the fast path observationally
@@ -97,6 +102,9 @@ _POOL_MAX = 1024
 #: entries have accumulated *and* they outnumber the live ones, bounding
 #: the queue to ~2x its live size at O(n) amortised cost.
 _COMPACT_MIN = 64
+
+#: ``Environment._stop_time`` outside :meth:`Environment.run`.
+_NO_RUN = float("-inf")
 
 
 class Event:
@@ -536,9 +544,17 @@ class Environment:
         self._queue: List[tuple] = []
         self._eid = count()
         self._active_process: Optional[Process] = None
-        #: Events popped and processed so far (perf-suite instrumentation;
-        #: lazily-cancelled entries that are skipped do not count).
+        #: Events popped and processed so far (perf-suite instrumentation).
+        #: Lazily-cancelled entries that are skipped do not count, and
+        #: neither do deliveries that never touch the heap: waiters run
+        #: inline by :meth:`succeed_then` and timers that
+        #: :meth:`schedule_unless_next` found next in line.
         self.events_processed = 0
+        #: Stop time of the active :meth:`run` (``-inf`` outside one; see
+        #: :meth:`schedule_unless_next`).
+        self._stop_time = _NO_RUN
+        # Bound once, like Process._resume_cb: one per deferred timer.
+        self._uncount_cb = self._uncount
         #: Free list of recycled :class:`_PooledTimeout` objects.
         self._timeout_pool: List[_PooledTimeout] = []
         #: Number of heap entries whose event is lazily cancelled.
@@ -727,14 +743,9 @@ class Environment:
             return
         if event._value is not _PENDING:
             raise EventLifecycleError(f"{event!r} has already been triggered")
-        event._ok = True
-        event._value = None
         seq = next(self._eid)
-        callbacks = event.callbacks
-        event.callbacks = None
         try:
-            for waiter in callbacks:
-                waiter(event)
+            self._deliver(event, True, None)
         except BaseException:
             self._push_follow_up(seq, callback)
             raise
@@ -742,6 +753,80 @@ class Environment:
             self._push_follow_up(seq, callback)
         else:
             callback(event)
+
+    def fail_now(self, event: Event, exception: BaseException) -> None:
+        """Fail ``event`` and run its waiters right now, not via the heap.
+
+        For callback-driven code standing in for a process: where the
+        process would have raised ``exception`` at this very point of the
+        current dispatch, the waiting process receives it here instead, at
+        the same instant and before anything else runs.  Like a popped
+        event, an undefused failure is re-raised.
+        """
+        if event._value is not _PENDING:
+            raise EventLifecycleError(f"{event!r} has already been triggered")
+        self._deliver(event, False, exception)
+        if not event.defused:
+            raise exception
+
+    def _deliver(self, event: Event, ok: bool, value: Any) -> None:
+        """Trigger the pending ``event`` and run its waiters inline, as if
+        it had just popped.
+
+        The one implementation of waiter-slot delivery, shared by
+        :meth:`succeed_then` and :meth:`fail_now`.
+        """
+        event._ok = ok
+        event._value = value
+        callbacks = event.callbacks
+        event.callbacks = None
+        for waiter in callbacks:
+            waiter(event)
+
+    def due_by(self, t: float) -> bool:
+        """True when some queued entry fires at or before ``t``.
+
+        An event pushed now for ``t`` would be the next one popped exactly
+        when this is false: an entry at the same float time holds a
+        smaller sequence number and pops first.
+        """
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= t
+
+    def schedule_unless_next(
+        self, delay: float, callback: Callable[[Event], None]
+    ) -> Optional[float]:
+        """Schedule ``callback`` ``delay`` from now, unless it pops next.
+
+        When the pooled timer would be the next event popped by the active
+        :meth:`run` — nothing is due by its fire time (:meth:`due_by`) and
+        it fires no later than the run's stop time — nothing is scheduled
+        and the fire time is returned instead: the caller moves the clock
+        there and runs ``callback``'s work in place.  That is only sound
+        at the tail of a dispatch, where nothing else can be pushed before
+        the heap would pop.  Otherwise the timer is pushed and ``None`` is
+        returned.  Outside :meth:`run` the timer is always pushed, so
+        :meth:`step` never skips ahead.
+
+        Completions taken in place are not counted in ``events_processed``.
+        Neither is a timer pushed only because the active run stops first
+        (or :meth:`step` drives the kernel): an unsliced run would have
+        taken it in place, and slicing a run must not change its counts.
+        """
+        fire_at = self._now + delay
+        queue = self._queue
+        if queue and queue[0][0] <= fire_at:  # due_by, inlined: once per CPU burst
+            self.pooled_timeout(delay).callbacks.append(callback)
+            return None
+        if fire_at <= self._stop_time:
+            return fire_at
+        callbacks = self.pooled_timeout(delay).callbacks
+        callbacks.append(self._uncount_cb)
+        callbacks.append(callback)
+        return None
+
+    def _uncount(self, _event: Event) -> None:
+        self.events_processed -= 1
 
     def _push_follow_up(self, seq: int, callback: Callable[[Event], None]) -> None:
         """Queue ``callback`` as a zero-delay pooled timer under ``seq``."""
@@ -921,6 +1006,7 @@ class Environment:
         queue = self._queue
         pool = self._timeout_pool
         events_processed = 0
+        self._stop_time = stop_time
         try:
             while queue and queue[0][0] <= stop_time:
                 self._now, _, _, event = heappop(queue)
@@ -950,6 +1036,7 @@ class Environment:
             pass
         finally:
             self.events_processed += events_processed
+            self._stop_time = _NO_RUN
 
         if stop_value is not _PENDING:
             event = stop_value

@@ -36,6 +36,7 @@ from repro.experiments.micro import MicroConfig
 #: per-segment path and must produce the same GOLDEN rows bit-for-bit.
 pytestmark = pytest.mark.tcpfast
 from repro.cache import CacheConfig
+from repro.calibration import DEFAULT_CALIBRATION
 from repro.cohort import CohortConfig
 from repro.dag import DagConfig, Edge, ServiceNode
 from repro.experiments.parallel import SweepExecutor
@@ -406,6 +407,61 @@ _DAG_CONFIGS = {
 }
 
 
+#: Golden digests for the contended and multi-core CPU rows, recorded
+#: with the regeneration helper before the spin writer became a callback
+#: state machine and before cores finished uncontended bursts in place.
+GOLDEN_SCHED = {
+    "SingleT-Async-2c": "e8b7200ddafa2c19",
+    "sTomcat-Async-2c": "93a38dec7c83027b",
+    "sTomcat-Async-Fix-2c": "dfaa0c79d1304166",
+    "Staged-SEDA-2c": "18ec7898592fd266",
+    "TomcatAsync-2c": "01693cc0ff4b9002",
+    "SingleT-Async-4c": "007bbc5fef7b216b",
+    "sTomcat-Async-4c": "421846cef4ebaef6",
+    "sTomcat-Async-Fix-4c": "f3df40771f58e516",
+    "Staged-SEDA-4c": "fdc1c67cf8909890",
+    "TomcatAsync-4c": "eaedcd0cc00a81b1",
+    "sTomcat-Async-20us": "010f1918de3ea3fe",
+    "SingleT-Async-20us": "74921d1dd0420c72",
+    "Staged-SEDA-20us": "a83f49050a759b49",
+}
+
+
+def _sched_config(server: str, clients: int, **calibration) -> MicroConfig:
+    return MicroConfig(
+        server,
+        clients,
+        response_size=102_400,
+        duration=0.3,
+        warmup=0.1,
+        calibration=dataclasses.replace(DEFAULT_CALIBRATION, **calibration),
+    )
+
+
+#: 100 KB write-spin under CPU contention: every spinning server (and
+#: TomcatAsync's bounded writer) on 2 and 4 cores, where a finishing
+#: core's re-pick races other cores and other threads' queued bursts, and
+#: on one core with a 20 µs time slice, where most bursts are preempted
+#: and re-queued.  The 1 ms single-core rows above never slice a burst.
+_SCHED_CONFIGS = {
+    **{
+        f"{server}-{cores}c": _sched_config(server, 24, cores=cores)
+        for cores in (2, 4)
+        for server in (
+            "SingleT-Async",
+            "sTomcat-Async",
+            "sTomcat-Async-Fix",
+            "Staged-SEDA",
+            "TomcatAsync",
+        )
+    },
+    **{
+        f"{server}-20us": _sched_config(server, 16, time_slice=20e-6)
+        for server in ("sTomcat-Async", "SingleT-Async", "Staged-SEDA")
+    },
+}
+
+
 def _digest_result(result) -> str:
     """Stable hash of everything a run reports."""
     payload = (
@@ -525,6 +581,20 @@ def test_golden_dag_digest_parallel(serial_dag_digests):
     assert _run(_DAG_CONFIGS, jobs=4) == GOLDEN_DAG == serial_dag_digests
 
 
+@pytest.fixture(scope="module")
+def serial_sched_digests() -> dict:
+    return _run(_SCHED_CONFIGS, jobs=1)
+
+
+def test_golden_sched_digest_serial(serial_sched_digests):
+    assert serial_sched_digests == GOLDEN_SCHED
+
+
+def test_golden_sched_digest_parallel(serial_sched_digests):
+    """jobs=4 must reproduce the contended-CPU rows too."""
+    assert _run(_SCHED_CONFIGS, jobs=4) == GOLDEN_SCHED == serial_sched_digests
+
+
 if __name__ == "__main__":  # pragma: no cover - digest regeneration helper
     for label, configs in (
         ("GOLDEN", _CONFIGS),
@@ -532,6 +602,7 @@ if __name__ == "__main__":  # pragma: no cover - digest regeneration helper
         ("GOLDEN_REPLICA", _REPLICA_CONFIGS),
         ("GOLDEN_COHORT", _COHORT_CONFIGS),
         ("GOLDEN_DAG", _DAG_CONFIGS),
+        ("GOLDEN_SCHED", _SCHED_CONFIGS),
     ):
         print(f"{label} = {{")
         for name, digest in _run(configs, jobs=1).items():

@@ -29,6 +29,10 @@
 #                 proving the per-segment TCP path still produces
 #                 bit-identical results so any digest mismatch can be
 #                 bisected to the flow-level fast path in one run.
+#                 GOLDEN_SCHED (100 KB write-spin on 2 and 4 cores and
+#                 with a 20 us time slice) inherits the golden module's
+#                 tcpfast mark, so it runs here and in the fast tier
+#                 without a tier of its own.
 #
 # Usage: tools/ci_check.sh [extra pytest args for every pytest tier]
 
