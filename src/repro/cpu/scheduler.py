@@ -32,7 +32,9 @@ waiters and the core's re-pick run inline through
 whenever inline delivery could be observed.  When that timer would also
 be the very next event popped (:meth:`Environment.schedule_unless_next`),
 the core skips it and finishes the burst in place (see
-``docs/architecture.md`` §2).
+``docs/architecture.md`` §2).  Under the same rule a callback writer runs
+its next burst in place from the waiter slot, without submitting it at
+all (:meth:`_Core.run_in_place`, the spin writer's trains, §4).
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class _Core:
         "finish_cb",
         "ahead_at",
         "running_ahead",
+        "charged_until",
+        "repick_seq",
     )
 
     def __init__(self, cpu: "CPU", time_slice: float):
@@ -110,6 +114,14 @@ class _Core:
         self.ahead_at: Optional[float] = None
         #: True while ``_run_ahead`` is on the stack.
         self.running_ahead = False
+        #: End of the switch or quantum whose CPU time is already charged.
+        #: Time is charged when a switch or quantum starts, so while this
+        #: lies after ``now`` the counters are ahead of the clock by the
+        #: difference (the run-end CPU law reads it).
+        self.charged_until = cpu.env.now
+        #: Sequence reserved for the re-pick owed after in-place bursts
+        #: that began on this core while it idled (:meth:`run_in_place`).
+        self.repick_seq = 0
 
     def _pick(self, _event: Optional[Event]) -> None:
         cpu = self.cpu
@@ -149,7 +161,9 @@ class _Core:
             self.last_thread = burst.thread
             self.slice_left = calib.time_slice
             if cost > 0:
-                cpu.env.pooled_timeout(cost).callbacks.append(self.run_cb)
+                env = cpu.env
+                self.charged_until = env._now + cost
+                env.pooled_timeout(cost).callbacks.append(self.run_cb)
                 return
         else:
             # Same thread re-picked from the queue: fresh slice, no switch
@@ -180,10 +194,12 @@ class _Core:
         counters.busy_user += user_part
         counters.busy_system += sys_part
         self.slice_left -= quantum
+        env = cpu.env
+        self.charged_until = env._now + quantum
         if quantum <= 0:
             self._finish(None)
             return
-        fire_at = cpu.env.schedule_unless_next(quantum, self.finish_cb)
+        fire_at = env.schedule_unless_next(quantum, self.finish_cb)
         if fire_at is not None:
             self.ahead_at = fire_at
             if not self.running_ahead:
@@ -212,12 +228,83 @@ class _Core:
             self.slice_left = 0.0
             self._pick(None)
         else:
-            burst.thread._pending = None
+            thread = burst.thread
+            thread._pending = None
+            thread.core = self
             self.last_preempted = False
             # Waiters resume (and may resubmit) before this core re-picks,
             # so a thread that issues back-to-back bursts keeps the core
             # without a switch.
             self.cpu.env.succeed_then(burst.done, self.pick_cb)
+
+    def run_in_place(self, thread: "SimThread", user: float, system: float) -> bool:
+        """Run ``thread``'s next burst to its end now, without submitting it.
+
+        For a callback writer at the tail of its dispatch: in the waiter
+        slot of this core's ``_finish``, or in a wake-up while this core
+        idles.  There, the burst ``thread.run_split(user, system)`` would
+        submit is one this core takes at once, runs in one quantum and
+        finishes in place, when no other burst is queued, no other core
+        idles, this core last ran ``thread`` and is running nothing else,
+        and the burst would end strictly before the heap head and no later
+        than the active run's stop time (the run-ahead rule of
+        :meth:`Environment.schedule_unless_next`).  Then this charges the
+        burst's time as ``_submit``, ``_pick`` and ``_run_quantum`` would,
+        with the same float expressions, moves the clock to its end and
+        returns True; the caller counts the burst and its syscall.
+        Otherwise it changes nothing and returns False, and the caller
+        submits the burst.
+
+        An idle core taken this way owes the re-pick its ``_finish`` would
+        have made: the caller runs :meth:`end_in_place` once it has no
+        more in-place bursts to run.
+        """
+        cpu = self.cpu
+        idle = cpu._idle_cores
+        # A closed thread is no core's last thread (_unregister_thread).
+        if cpu._queued or self.burst is not None or self.last_thread is not thread:
+            return False
+        if self.busy:
+            if idle:
+                return False
+        elif len(idle) != 1 or idle[0] is not self:
+            return False
+        user = user * cpu._footprint
+        slowdown = cpu.slowdown
+        if slowdown != 1.0:
+            user *= slowdown
+            system *= slowdown
+        quantum = user + system
+        env = cpu.env
+        end = env._now + quantum
+        queue = env._queue
+        if quantum <= 0.0 or (queue and queue[0][0] <= end) or end > env._stop_time:
+            return False
+        sys_part = quantum if quantum < system else system
+        user_quantum = quantum - sys_part
+        user_part = user_quantum if user_quantum < user else user
+        if (user - user_part) + (system - sys_part) > 1e-15:
+            return False
+        if not self.busy:
+            idle.pop()
+            self.busy = True
+            # The sequence the burst's ``succeed_then`` would reserve.
+            self.repick_seq = next(env._eid)
+        counters = cpu.counters
+        counters.busy_user += user_part
+        counters.busy_system += sys_part
+        # The re-pick: sticky while the slice lasts, else a fresh slice.
+        slice_left = self.slice_left
+        if not slice_left > 0:
+            slice_left = cpu.calibration.time_slice
+        self.slice_left = slice_left - quantum
+        self.charged_until = end
+        env._now = end
+        return True
+
+    def end_in_place(self) -> None:
+        """Re-pick after in-place bursts that began on this idle core."""
+        self.cpu.env._follow_up(self.repick_seq, self.pick_cb, None)
 
 
 class SimThread:
@@ -236,6 +323,8 @@ class SimThread:
         self.name = name or f"thread-{SimThread._ids}"
         self.alive = True
         self._pending: Optional[_Burst] = None
+        #: The core that completed this thread's latest burst.
+        self.core: Optional[_Core] = None
         cpu._register_thread(self)
 
     # ------------------------------------------------------------------

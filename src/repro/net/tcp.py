@@ -64,7 +64,7 @@ from typing import Callable, Deque, List, Optional
 
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.scheduler import SimThread
-from repro.errors import ConnectionClosedError
+from repro.errors import BufferError_, ConnectionClosedError
 from repro.net.buffer import SendBuffer
 from repro.net.link import Link
 from repro.net.messages import Request
@@ -285,15 +285,6 @@ class Connection:
         """Bytes acknowledged per ACK (delayed-ACK granularity)."""
         return self._ack_granularity
 
-    def _record_send_activity(self) -> None:
-        now = self.env.now
-        if now - self._last_activity > IDLE_RESET_THRESHOLD:
-            # Linux tcp_slow_start_after_idle: restart from the initial window.
-            self._cwnd = self._initial_cwnd_bytes()
-            self._stats.idle_resets += 1
-            self._retune_buffer()
-        self._last_activity = now
-
     def _retune_buffer(self) -> None:
         """Kernel send-buffer autotuning: track ~2x cwnd (BDP heuristic).
 
@@ -349,9 +340,10 @@ class Connection:
     @property
     def writable(self) -> bool:
         """True when the send buffer has free space."""
-        if self._fp_active:
+        if self._fp_active and self.env._now >= self._fp_next:
             self._fp_advance()
-        return self.buffer.free > 0
+        buffer = self.buffer
+        return buffer._capacity > buffer._used
 
     def read_request(self) -> Optional[Request]:
         """Pop the oldest pending request (``None`` if the inbox is empty).
@@ -419,26 +411,65 @@ class Connection:
         syscall cost (``thread.syscall(bytes_copied=returned)``).
         """
         self._check_open()
-        if self._fp_active:
-            self._fp_advance()
-        self._record_send_activity()
-        accepted = self.buffer.reserve(nbytes)
-        stats = self._stats
-        stats.write_calls += 1
-        if request is not None:
-            request.write_calls += 1
-        if accepted == 0:
-            stats.zero_writes += 1
-            if request is not None:
-                request.zero_writes += 1
-            return 0
-        stats.bytes_written += accepted
-        self._unsent += accepted
-        if self._fp_active:
-            self._fp_write_planned(accepted)
-        else:
-            self._pump()
+        accepted = self.copy_in(nbytes)
+        self.count_writes(request, 1, 0 if accepted else 1, accepted)
         return accepted
+
+    def copy_in(self, nbytes: int) -> int:
+        """The kernel's side of a write on a connection known to be open.
+
+        Brings the fast path's plan up to ``now`` (only when an entry has
+        lapsed), copies up to ``nbytes`` into the send buffer and plans
+        (or, off the fast path, pumps) their transmission; returns the
+        bytes accepted.  Counts nothing: :meth:`try_write` counts each
+        call, a spin writer's train counts all its calls at once
+        (:meth:`count_writes`) and :meth:`blocking_write` counts one call
+        for all its copies.
+        """
+        now = self.env._now
+        if self._fp_active and now >= self._fp_next:
+            self._fp_advance()
+        if now - self._last_activity > IDLE_RESET_THRESHOLD:
+            # Linux tcp_slow_start_after_idle: restart from the initial window.
+            self._cwnd = self._initial_cwnd_bytes()
+            self._stats.idle_resets += 1
+            self._retune_buffer()
+        self._last_activity = now
+        # SendBuffer.reserve, inlined: accept min(nbytes, free).
+        if nbytes < 0:
+            raise BufferError_(f"cannot reserve a negative byte count ({nbytes})")
+        buffer = self.buffer
+        used = buffer._used
+        free = buffer._capacity - used
+        accepted = nbytes if nbytes < free else (free if free > 0 else 0)
+        buffer._used = used + accepted
+        if accepted:
+            self._unsent += accepted
+            if not self._fp_active:
+                self._pump()
+            elif self._fp_planned + accepted > self._fp_demand:
+                # Bytes with no open transfer to attribute them to: their
+                # completion boundaries are unknowable, so fall back to
+                # real per-segment events for this connection.
+                self._fp_materialize()
+                self._pump()
+            else:
+                self._fp_extend()
+        return accepted
+
+    def count_writes(
+        self, request: Optional[Request], calls: int, zero_writes: int, nbytes: int
+    ) -> None:
+        """Count ``calls`` write() calls (``zero_writes`` of them returning
+        zero) that accepted ``nbytes`` bytes in all, for this connection
+        and for ``request``."""
+        stats = self._stats
+        stats.write_calls += calls
+        stats.zero_writes += zero_writes
+        stats.bytes_written += nbytes
+        if request is not None:
+            request.write_calls += calls
+            request.zero_writes += zero_writes
 
     def blocking_write(self, thread: SimThread, nbytes: int, request: Optional[Request] = None):
         """Blocking write of ``nbytes`` — a generator to ``yield from``.
@@ -463,17 +494,9 @@ class Connection:
         # used to allocate a fresh Event plus a wake-up closure.
         gate: Optional[ReusableEvent] = None
         while remaining > 0:
-            if self._fp_active:
-                self._fp_advance()
-            self._record_send_activity()
-            accepted = self.buffer.reserve(remaining)
+            accepted = self.copy_in(remaining)
             if accepted > 0:
                 remaining -= accepted
-                self._unsent += accepted
-                if self._fp_active:
-                    self._fp_write_planned(accepted)
-                else:
-                    self._pump()
                 chunk_cost = copy_cost * accepted + self.calibration.tx_kernel_cost(accepted)
                 if chunk_cost > 0:
                     yield thread.run(chunk_cost, "system")
@@ -500,8 +523,6 @@ class Connection:
         if self.closed:
             event.succeed()
         else:
-            if self._fp_active:
-                self._fp_advance()
             self._park_space_event(event)
         return event
 
@@ -528,7 +549,7 @@ class Connection:
         plain buffer parking.
         """
         buffer = self.buffer
-        if self._fp_active:
+        if self._fp_active and self.env._now >= self._fp_next:
             # The caller may have slept (e.g. the per-chunk copy charge in
             # blocking_write) since the last advance; apply any ACKs that
             # landed meanwhile so the head pending ACK is in the future.
@@ -536,8 +557,8 @@ class Connection:
         if (
             self._fp_active
             and self._fp_acks_i < len(self._fp_acks)
-            and buffer.free <= 0
-            and not buffer.closed
+            and buffer._used >= buffer._capacity
+            and not buffer._closed
         ):
             event = self.env.schedule_event_at(event, self._fp_acks[self._fp_acks_i][0])
             event.callbacks.append(self._fp_wake_cb)
@@ -655,7 +676,7 @@ class Connection:
         self._fp_advancing = True
         stats = self._stats
         attribute = self._attribute_delivery
-        release = self.buffer.release
+        buffer = self.buffer
         mss = self._mss
         cwnd_max = self._cwnd_max
         cwnd = self._cwnd
@@ -665,6 +686,8 @@ class Connection:
         # of ACKs one release.  Legal because nothing between two entries
         # of a run consumes an event id — the first observable divergence
         # point — so batching is indistinguishable from per-entry apply.
+        # For the same reason deliveries wait for the final attribution
+        # across ACK runs whose release wakes nobody.
         deliv_acc = 0
         try:
             while True:
@@ -687,10 +710,6 @@ class Connection:
                     if t_a > now:
                         self._fp_next = t_a
                         break
-                    if deliv_acc:
-                        stats.bytes_delivered += deliv_acc
-                        attribute(deliv_acc)
-                        deliv_acc = 0
                     n = 0
                     run = 0
                     while True:
@@ -710,14 +729,23 @@ class Connection:
                     if cwnd < cwnd_max:
                         grown = cwnd + mss * run
                         cwnd = grown if grown < cwnd_max else cwnd_max
-                    # Waiters woken by the release observe connection state:
-                    # write the locals back before notifying.
-                    self._fp_delivs_i = di
-                    self._fp_acks_i = ai
-                    self._fp_sends_i = si
-                    self._cwnd = cwnd
-                    self._in_flight = in_flight
-                    release(n)
+                    # SendBuffer.release, inlined (the plan never releases
+                    # more than it reserved).
+                    used = buffer._used - n
+                    buffer._used = used
+                    if buffer._space_waiters and used < buffer._capacity:
+                        # Waiters observe connection state: apply the
+                        # deliveries and write the locals back first.
+                        if deliv_acc:
+                            stats.bytes_delivered += deliv_acc
+                            attribute(deliv_acc)
+                            deliv_acc = 0
+                        self._fp_delivs_i = di
+                        self._fp_acks_i = ai
+                        self._fp_sends_i = si
+                        self._cwnd = cwnd
+                        self._in_flight = in_flight
+                        buffer._notify_space()
                 else:
                     if t_s > now:
                         self._fp_next = t_s
@@ -730,24 +758,20 @@ class Connection:
         finally:
             if deliv_acc:
                 stats.bytes_delivered += deliv_acc
-                attribute(deliv_acc)
+                transfers = self._transfers
+                head = transfers[0] if transfers else None
+                if head is not None and head.total - head.delivered > deliv_acc:
+                    # _attribute_delivery's usual case, inlined: the bytes
+                    # land inside the oldest response.
+                    head.delivered += deliv_acc
+                else:
+                    attribute(deliv_acc)
             self._fp_delivs_i = di
             self._fp_acks_i = ai
             self._fp_sends_i = si
             self._cwnd = cwnd
             self._in_flight = in_flight
             self._fp_advancing = False
-
-    def _fp_write_planned(self, accepted: int) -> None:
-        """Plan the drain of freshly accepted bytes (fast-path ``_pump``)."""
-        if self._fp_planned + accepted > self._fp_demand:
-            # Bytes with no open transfer to attribute them to: their
-            # completion boundaries are unknowable, so fall back to real
-            # per-segment events for this connection.
-            self._fp_materialize()
-            self._pump()
-            return
-        self._fp_extend()
 
     def _fp_extend(self) -> None:
         """Recompute the pending plan after ``_unsent`` grew.

@@ -25,7 +25,7 @@ macro-benchmark (Tomcat tier calling a MySQL tier).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.scheduler import CPU, SimThread
@@ -271,6 +271,21 @@ class BaseServer:
         self._trace(request, "read", thread.name)
         return request
 
+    def _write_costs(self, written: int) -> Tuple[float, float]:
+        """``(user, system)`` CPU cost of one non-blocking ``socket.write()``.
+
+        User side: syscall crossing plus JVM NIO bookkeeping.  Kernel
+        side: syscall entry, user→kernel copy, and the TX path for the
+        segments produced.
+        """
+        calib = self.calibration
+        return (
+            calib.syscall_user_cost + calib.nio_write_user_cost,
+            calib.syscall_kernel_cost
+            + calib.copy_cost_per_byte * written
+            + calib.tx_kernel_cost(written),
+        )
+
     def _charge_write(
         self,
         thread: SimThread,
@@ -278,23 +293,15 @@ class BaseServer:
         done: Optional[Event] = None,
         at_tail: bool = False,
     ):
-        """CPU cost of one non-blocking ``socket.write()`` call.
+        """Charge one non-blocking ``socket.write()`` call to ``thread``.
 
-        User side: syscall crossing plus JVM NIO bookkeeping.  Kernel
-        side: syscall entry, user→kernel copy, and the TX path for the
-        segments produced.  Returns the burst-completion event; ``done``
-        and ``at_tail`` pass through to :meth:`SimThread.run_split`.
+        Counts the syscall and submits its burst (:meth:`_write_costs`);
+        returns the burst-completion event.  ``done`` and ``at_tail`` pass
+        through to :meth:`SimThread.run_split`.
         """
-        calib = self.calibration
         self.cpu.counters.syscalls += 1
-        return thread.run_split(
-            calib.syscall_user_cost + calib.nio_write_user_cost,
-            calib.syscall_kernel_cost
-            + calib.copy_cost_per_byte * written
-            + calib.tx_kernel_cost(written),
-            done=done,
-            at_tail=at_tail,
-        )
+        user, system = self._write_costs(written)
+        return thread.run_split(user, system, done=done, at_tail=at_tail)
 
     def _admit(self, request: Request) -> Optional[int]:
         """Load-shedding gate: ``None`` admits, else the rejection size.
@@ -415,13 +422,15 @@ def naive_spin_write(
 
     A response that fits the send buffer costs one write and one burst,
     waited on here.  A larger one is handed to :class:`_SpinWriter`, which
-    issues every further write from callbacks; this generator resumes
+    issues every further write from callbacks, most of them in trains
+    that run write → burst → write in one loop; this generator resumes
     once, when the last burst completes (or the connection closes).
     """
     transfer = connection.open_transfer(response_size, request)
     if response_size > 0:
         written = connection.try_write(response_size, request)
-        server._trace(request, "write", f"{written}B")
+        if server.tracer is not None:
+            server._trace(request, "write", f"{written}B")
         if written == response_size:
             yield server._charge_write(thread, written)
         else:
@@ -436,18 +445,34 @@ def naive_spin_write(
 class _SpinWriter:
     """The rest of one :func:`naive_spin_write` loop, as a callback machine.
 
-    Issues the same ``try_write`` calls, traces and CPU bursts, at the
-    same instants and in the same order, as the generator loop it stands
-    in for, but without a generator resume per write:
+    Issues the same writes, traces and CPU bursts, at the same instants
+    and in the same order, as the generator loop it stands in for, but
+    without a generator resume per write.  Each call of :meth:`_spin`
+    runs a *train*: write, burst, write, ... in one loop, for as long as
+    each burst can run in place (:meth:`~repro.cpu.scheduler._Core.run_in_place`:
+    the core that just finished the writer's burst would take the next one
+    at once, alone, and its end would be the next event of the active
+    run).  The train leaves at the first instant something could observe
+    it: the heap head or the run's stop time, another thread's queued
+    burst or an idle core (all three checked by the core).  It does not
+    run at all with a request tracer, or on a connection that closed or
+    is off the flow-level fast path (fault hooks keep a connection off it
+    from birth), which keeps the per-write path as the reference there.
+    On leaving, it commits its write and burst counters in one step and
+    hands over to the callback states below, the same ones a write takes
+    outside a train:
 
-    * each intermediate burst completes ``step``, whose only waiter is
+    * a burst the CPU runs completes ``step``, whose only waiter is
       :meth:`_burst_done`; the CPU delivers it in the finished burst's
-      waiter slot (:meth:`Environment.succeed_then`);
+      waiter slot (:meth:`Environment.succeed_then`), where the next
+      train starts;
     * the last burst completes ``done``, the event the server's generator
       waits on, so the generator resumes in that same slot;
-    * a :class:`ConnectionClosedError` from ``try_write`` fails ``done``
-      in place (:meth:`Environment.fail_now`), where the generator would
-      have raised it.
+    * a zero write whose wait is not yet satisfied parks on the
+      connection and resumes in :meth:`_wake`;
+    * a write on a closed connection fails ``done`` in place
+      (:meth:`Environment.fail_now`), where the generator would have
+      raised :class:`ConnectionClosedError`.
 
     Two same-instant hops are skipped where nothing could observe them:
     after a zero write, a wait that is already satisfied (the connection
@@ -484,46 +509,98 @@ class _SpinWriter:
         self.thread = thread
         self.connection = connection
         self.request = request
-        self.remaining = response_size
+        self.remaining = response_size - written
+        self.written = written
         self.done = Event(env)
         self.step = ReusableEvent(env)
         self.burst_done_cb = self._burst_done
         self.wake_cb = self._wake
-        self._charge(written, False)
+        self._submit(False)
 
-    def _charge(self, written: int, at_tail: bool) -> None:
-        remaining = self.remaining - written
-        self.remaining = remaining
-        self.written = written
-        if remaining:
+    def _submit(self, at_tail: bool) -> None:
+        """Hand the burst of the latest write to the CPU."""
+        if self.remaining:
             done = self.step.rearm()
             done.callbacks.append(self.burst_done_cb)
         else:
             done = self.done
-        self.server._charge_write(self.thread, written, done, at_tail)
+        self.server._charge_write(self.thread, self.written, done, at_tail)
 
     def _burst_done(self, _event: Event) -> None:
-        if self.written == 0:
-            connection = self.connection
-            env = self.server.env
-            if (
-                connection.closed
-                or not connection.writable
-                or self.thread.cpu._queued
-                or env.due_by(env._now)
-            ):
-                connection.wait_writable().callbacks.append(self.wake_cb)
-                return
-        self._write(False)
+        self._spin(False)
 
     def _wake(self, _event: Event) -> None:
-        self._write(True)
+        self._spin(True)
 
-    def _write(self, at_tail: bool) -> None:
-        try:
-            written = self.connection.try_write(self.remaining, self.request)
-        except ConnectionClosedError as exc:
-            self.server.env.fail_now(self.done, exc)
-            return
-        self.server._trace(self.request, "write", f"{written}B")
-        self._charge(written, at_tail)
+    def _spin(self, woken: bool) -> None:
+        """Run one train: write until a write must wait or go to the CPU.
+
+        Called in the waiter slot of the burst that just finished, or by
+        the wake-up that ends a wait (``woken``).  The loop body is the
+        one per-write step: the same code issues a write inside a train
+        and the write that leaves it.
+        """
+        server = self.server
+        connection = self.connection
+        thread = self.thread
+        request = self.request
+        remaining = self.remaining
+        written = self.written
+        calls = zero_writes = nbytes = in_place = 0
+        # A wake-up ends a wait; a finished zero write may still need one.
+        check_wait = not woken
+        at_tail = woken
+        closed = wait = False
+        while True:
+            if check_wait and written == 0:
+                env = server.env
+                if (
+                    connection.closed
+                    or not connection.writable
+                    or thread.cpu._queued
+                    or env.due_by(env._now)
+                ):
+                    wait = True
+                    break
+            check_wait = True
+            if connection.closed:
+                closed = True
+                break
+            written = connection.copy_in(remaining)
+            calls += 1
+            if written:
+                nbytes += written
+                remaining -= written
+            else:
+                zero_writes += 1
+            if server.tracer is not None:
+                server._trace(request, "write", f"{written}B")
+            elif remaining and connection._fp_active:
+                core = thread.core
+                if core is not None and core.run_in_place(
+                    thread, *server._write_costs(written)
+                ):
+                    in_place += 1
+                    at_tail = False
+                    continue
+            break
+        self.remaining = remaining
+        self.written = written
+        if calls:
+            connection.count_writes(request, calls, zero_writes, nbytes)
+        if in_place:
+            counters = thread.cpu.counters
+            counters.bursts += in_place
+            counters.syscalls += in_place
+        if wait:
+            connection.wait_writable().callbacks.append(self.wake_cb)
+        elif closed:
+            server.env.fail_now(
+                self.done, ConnectionClosedError(f"connection #{connection.id} is closed")
+            )
+        else:
+            self._submit(at_tail)
+        if woken and in_place:
+            # The first in-place burst took the idle core: make the
+            # re-pick its _finish would have made after this waiter slot.
+            thread.core.end_in_place()

@@ -50,7 +50,11 @@ single result (the golden-digest tests pin bit-identical behaviour):
   altogether (:meth:`Environment.schedule_unless_next`): CPU cores finish
   uncontended bursts in place, and the spin writer takes its
   same-instant hops inline when nothing else is due
-  (:meth:`Environment.due_by`; ``docs/architecture.md`` §2 and §4).
+  (:meth:`Environment.due_by`; ``docs/architecture.md`` §2 and §4);
+* under the same rule the spin writer runs whole trains of writes in one
+  loop, each burst run in place by its core without being submitted
+  (``_Core.run_in_place``); a core that began such a train idle makes
+  its owed re-pick through :meth:`Environment._follow_up`.
 
 Events keep the same relative insertion order as before any of this
 machinery existed, which is what makes the fast path observationally
@@ -749,10 +753,7 @@ class Environment:
         except BaseException:
             self._push_follow_up(seq, callback)
             raise
-        if queue and queue[0][:2] < (now, PRIORITY_NORMAL):
-            self._push_follow_up(seq, callback)
-        else:
-            callback(event)
+        self._follow_up(seq, callback, event)
 
     def fail_now(self, event: Event, exception: BaseException) -> None:
         """Fail ``event`` and run its waiters right now, not via the heap.
@@ -827,6 +828,24 @@ class Environment:
 
     def _uncount(self, _event: Event) -> None:
         self.events_processed -= 1
+
+    def _follow_up(
+        self, seq: int, callback: Callable[[Event], None], event: Optional[Event]
+    ) -> None:
+        """Call ``callback(event)`` now, unless an urgent event is due now.
+
+        The tail of :meth:`succeed_then`, also run by a CPU core whose
+        in-place bursts began while it idled.  It compares against
+        ``_now``, not the instant delivery began: a waiter may have run
+        ahead in place (a spin writer's train), and the follow-up then
+        belongs at the instant the waiter left off, pushed (if at all)
+        under the sequence reserved when delivery began.
+        """
+        queue = self._queue
+        if queue and queue[0][:2] < (self._now, PRIORITY_NORMAL):
+            self._push_follow_up(seq, callback)
+        else:
+            callback(event)
 
     def _push_follow_up(self, seq: int, callback: Callable[[Event], None]) -> None:
         """Queue ``callback`` as a zero-delay pooled timer under ``seq``."""

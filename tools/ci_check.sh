@@ -32,7 +32,11 @@
 #                 GOLDEN_SCHED (100 KB write-spin on 2 and 4 cores and
 #                 with a 20 us time slice) inherits the golden module's
 #                 tcpfast mark, so it runs here and in the fast tier
-#                 without a tier of its own.
+#                 without a tier of its own.  So do the spin-train exit
+#                 tests and the run-end conservation audit
+#                 (tests/servers/test_spin_train.py, module-wide tcpfast
+#                 mark); the segment path runs no trains, so here they
+#                 check the expectations recorded without trains.
 #
 # Usage: tools/ci_check.sh [extra pytest args for every pytest tier]
 
